@@ -22,6 +22,7 @@ from ..jsoniq import check, parse
 from .dynamic_context import DynamicContext, RumbleConfig
 from .items import Item, Sequence
 from .iterators.base import RuntimeIterator
+from .query_scope import query_scope
 from .translator import translate
 
 
@@ -48,23 +49,32 @@ class Rumble:
     def run(self, query: str, cap: int | None = None) -> Sequence:
         """Execute ``query`` and materialize its result sequence on the
         driver, optionally capped at ``cap`` items (shell behaviour,
-        §5.4)."""
+        §5.4). The Spark materializations the query made are released
+        before this returns or raises."""
         it = self.compile(query)
         ctx = self._ctx()
-        if it.supports_rdd(ctx):
-            rdd = it.get_rdd(ctx)
-            return rdd.take(cap) if cap is not None else rdd.collect()
-        seq = it.materialize(ctx)
+        with query_scope():
+            if it.supports_rdd(ctx):
+                rdd = it.get_rdd(ctx)
+                return rdd.take(cap) if cap is not None else rdd.collect()
+            seq = it.materialize(ctx)
         return seq[:cap] if cap is not None else seq
 
     def run_rdd(self, query: str):
         """Execute ``query`` returning an RDD of items, or None when the
         root iterator only supports local execution. Parent tooling can
-        write this RDD straight back to storage in parallel (§5.4)."""
+        write this RDD straight back to storage in parallel (§5.4).
+
+        An ``order by`` in the query is materialized while this call
+        builds the RDD, and the RDD reads that materialization. It stays
+        alive as long as the returned RDD does: Spark's ContextCleaner
+        drops it after the JVM garbage-collects the RDD. If this call
+        raises, it is released at once."""
         it = self.compile(query)
         ctx = self._ctx()
-        if it.supports_rdd(ctx):
-            return it.get_rdd(ctx)
+        with query_scope(keep=True):
+            if it.supports_rdd(ctx):
+                return it.get_rdd(ctx)
         return None
 
     def run_one(self, query: str) -> Item:

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator
 
-from pyspark.sql import functions as F
+from pyspark.sql import Observation, functions as F
 from pyspark.sql.types import StringType, StructField, StructType
 
 from ..dynamic_context import DynamicContext
@@ -28,6 +28,7 @@ from ..items import (
     encode_key,
 )
 from ..iterators.base import RuntimeIterator, active_spark
+from ..query_scope import checkpoint
 from .frame import (
     TupleFrame,
     make_boolean_udf,
@@ -415,8 +416,6 @@ class OrderByClauseIterator(ClauseIterator):
 
     # -- DataFrame --------------------------------------------------------------
     def apply_df(self, tframe, outer_ctx):
-        from ..iterators.basic import VarRefIterator  # noqa: F401 (parity with group-by)
-
         df = tframe.df
         key_cols = []
         for i, (expr, asc, eg) in enumerate(self.specs):
@@ -428,16 +427,18 @@ class OrderByClauseIterator(ClauseIterator):
             df = df.withColumn(kcol, udf(*[F.col(tframe.columns[v]) for v in tframe.var_order()]))
             key_cols.append((kcol, asc))
 
-        # First pass (§4.8): discover the type codes under each key and
-        # throw on incompatible types before sorting. The frame is
-        # persisted so the sort pass reuses the evaluated key columns
-        # instead of re-running every upstream clause UDF.
-        df = df.persist()
-        code_sets = df.select(
-            *[F.collect_set(F.col(f"{k}.code")).alias(f"cs{i}") for i, (k, _) in enumerate(key_cols)]
-        ).first()
+        # First pass (§4.8): one job evaluates the keys, checkpoints the
+        # keyed frame and observes the type codes under each key.
+        # Incompatible types throw before sorting. The sort reads the
+        # checkpoint, so no upstream clause UDF runs twice.
+        codes = Observation()
+        df = checkpoint(df.observe(
+            codes,
+            *[F.collect_set(F.col(f"{k}.code")).alias(f"cs{i}") for i, (k, _) in enumerate(key_cols)],
+        ))
+        seen = codes.get
         for i in range(len(key_cols)):
-            check_orderable_types(set(code_sets[f"cs{i}"]), f"order-by key #{i + 1}")
+            check_orderable_types(set(seen[f"cs{i}"]), f"order-by key #{i + 1}")
 
         order = []
         for kcol, asc in key_cols:

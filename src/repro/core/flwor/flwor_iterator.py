@@ -64,8 +64,7 @@ class FLWORIterator(RuntimeIterator):
             tframe = self._build_tframe(ctx)
             if ret.name in tframe.single_item:
                 return tframe.df.count()
-            tframe_df = tframe  # fall through with the built frame
-            return self._emit_rdd(tframe_df, ctx).count()
+            return self._emit_rdd(tframe, ctx).count()
         return self.get_rdd(ctx).count()
 
     def get_rdd(self, ctx: DynamicContext):

@@ -1,9 +1,37 @@
 """FLWOR DataFrame execution tests (paper §4.3–§4.10): the tuple
 stream flows through Spark SQL; results must match the local path."""
+import sys
+import threading
+
 import pytest
 
 from repro.core import Rumble, RumbleConfig
 from repro.core.flwor.flwor_iterator import FLWORIterator
+
+
+def activate(spark) -> None:
+    """Make ``spark`` the calling thread's active session. The active
+    session is per thread, and the engine runs on Spark only where one
+    is active."""
+    spark._jvm.org.apache.spark.sql.classic.SparkSession.setActiveSession(
+        spark._jsparkSession
+    )
+
+
+def run_within(engine: Rumble, query: str, seconds: float = 120):
+    """``engine.run(query)`` on another thread, failing the test instead
+    of hanging if the query does not finish within ``seconds``."""
+    out = {}
+
+    def run():
+        activate(engine.spark)
+        out["items"] = engine.run(query)
+
+    t = threading.Thread(target=run, daemon=True)
+    t.start()
+    t.join(seconds)
+    assert not t.is_alive(), f"query still running after {seconds} s"
+    return out["items"]
 
 
 def df_backed(engine: Rumble, query: str) -> bool:
@@ -153,6 +181,33 @@ class TestClausesOnDataFrames:
         with pytest.raises(TypeError_):
             rumble.run('for $x in parallelize((1, "a")) order by $x return $x')
 
+    def test_order_by_after_group_by_incompatible_types_raises_df(self, rumble):
+        from repro.jsoniq.errors import TypeError_
+
+        with pytest.raises(TypeError_):
+            rumble.run(
+                'for $x in parallelize((1, "a", 1, true)) group by $k := $x '
+                "order by $k return $k"
+            )
+
+    def test_order_by_empty_stream_df(self, rumble):
+        # The type codes are observed on the materializing job; an empty
+        # tuple stream must still report them instead of blocking.
+        got = run_within(
+            rumble,
+            "for $x in parallelize(1 to 10) where $x gt 100 order by $x return $x",
+        )
+        assert got == []
+
+    def test_consecutive_order_bys_match_local(self, rumble, local_engine):
+        src = (
+            '({"a": 2, "b": "y"}, {"a": 1, "b": "z"}, {"a": 3, "b": "x"}, '
+            '{"a": 1, "b": "w"})'
+        )
+        q = "for $o in {} order by $o.a descending order by $o.b return $o.a"
+        got = rumble.run(q.format(f"parallelize({src})"))
+        assert got == local_engine.run(q.format(src)) == [1, 3, 2, 1]
+
     def test_count_clause_df(self, rumble):
         got = rumble.run(
             "for $x in parallelize((10, 20, 30), 2) order by $x count $c "
@@ -205,3 +260,105 @@ class TestClausesOnDataFrames:
         )
         key = lambda v: (type(v).__name__, str(v))  # noqa: E731
         assert sorted(got, key=key) == sorted([1, "1", True], key=key)
+
+
+class TestOrderByMaterialization:
+    """The order-by materializes its keyed frame once per query (§4.8);
+    the query releases it, and the sort runs at the partition count
+    adaptive execution picks."""
+
+    def test_queries_release_their_materializations(self, spark, rumble):
+        from repro.jsoniq.errors import TypeError_
+
+        persisted = spark.sparkContext._jsc.getPersistentRDDs
+        before = len(persisted())
+        for n in range(5):
+            got = rumble.run(f"for $x in parallelize((3, 1, {n})) order by $x return $x")
+            assert got == sorted([3, 1, n])
+        with pytest.raises(TypeError_):
+            rumble.run('for $x in parallelize((1, "a")) order by $x return $x')
+        with pytest.raises(Exception):  # raised inside the materializing job
+            rumble.run(
+                'for $x in parallelize((1, {"a": 1})) where $x + 1 gt 0 '
+                "order by $x return $x"
+            )
+        assert len(persisted()) == before
+
+    def test_concurrent_queries_keep_their_own_materializations(self, spark):
+        # Each thread's scope must release only its own query's
+        # materializations, and a failed one only what it left behind.
+        from repro.jsoniq.errors import TypeError_
+
+        persisted = spark.sparkContext._jsc.getPersistentRDDs
+        before = len(persisted())
+        results, errors = {}, []
+
+        def work(i):
+            activate(spark)
+            eng = Rumble(spark)
+            try:
+                for j in range(2):
+                    results[i, j] = eng.run(
+                        f"for $x in parallelize((3, 1, {10 * i + j})) order by $x return $x"
+                    )
+                with pytest.raises(TypeError_):
+                    eng.run('for $x in parallelize((1, "a")) order by $x return $x')
+                with pytest.raises(Exception):
+                    eng.run(
+                        'for $x in parallelize((1, {"a": 1})) where $x + 1 gt 0 '
+                        "order by $x return $x"
+                    )
+            except BaseException as e:  # surfaced below
+                errors.append(e)
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=work, args=(i,), daemon=True) for i in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(300)
+        finally:
+            sys.setswitchinterval(switch)
+        assert not any(t.is_alive() for t in threads)
+        assert errors == []
+        assert results == {
+            (i, j): sorted([3, 1, 10 * i + j]) for i in range(6) for j in range(2)
+        }
+        assert len(persisted()) == before
+
+    def test_run_rdd_reads_its_materialization(self, rumble):
+        rdd = rumble.run_rdd("for $x in parallelize((3, 1, 2)) order by $x return $x")
+        assert rdd.collect() == [1, 2, 3]
+
+    def test_readme_query_runs_fewer_tasks_than_shuffle_partitions(
+        self, spark, rumble, confusion_path
+    ):
+        sc = spark.sparkContext
+        group = "order-by-task-count"
+        q = (
+            f'for $i in json-file("{confusion_path}") '
+            "where $i.guess eq $i.target "
+            "group by $t := $i.target "
+            "order by count($i) descending "
+            'return {"target": $t, "n": count($i)}'
+        )
+        sc.setJobGroup(group, group)
+        try:
+            got = rumble.run(q)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            sc.setLocalProperty("spark.job.description", None)
+        counts = [o["n"] for o in got]
+        assert counts and counts == sorted(counts, reverse=True)
+
+        st = sc.statusTracker()
+        tasks = 0
+        for job in st.getJobIdsForGroup(group):
+            info = st.getJobInfo(job)
+            for sid in info.stageIds if info else ():
+                stage = st.getStageInfo(sid)
+                if stage:
+                    tasks += stage.numCompletedTasks + stage.numFailedTasks
+        assert 0 < tasks < int(spark.conf.get("spark.sql.shuffle.partitions"))
