@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from pyspark.sql import Observation, functions as F
-from pyspark.sql.types import StringType, StructField, StructType
+from pyspark.sql.types import ArrayType, BooleanType, StringType, StructField, StructType
 
 from ..dynamic_context import DynamicContext
 from ..items import (
@@ -30,22 +30,16 @@ from ..items import (
 from ..iterators.base import RuntimeIterator, active_spark
 from ..query_scope import checkpoint
 from .frame import (
+    KEY_STRUCT,
     TupleFrame,
-    make_boolean_udf,
-    make_explode_udf,
-    make_key_udf,
-    make_sequence_udf,
+    clause_udf,
+    explode_cells,
+    key_cells,
     merge_sequences_udf,
+    tuple_context,
 )
 
 LocalTuple = dict  # var name -> sequence of items
-
-
-def _tuple_ctx(outer_ctx: DynamicContext, tup: LocalTuple) -> DynamicContext:
-    """Dynamic context for evaluating a clause expression in one tuple."""
-    return DynamicContext(
-        variables={**outer_ctx.variables, **tup}, config=outer_ctx.config
-    )
 
 
 class ClauseIterator:
@@ -53,6 +47,10 @@ class ClauseIterator:
 
     def bound_vars(self) -> list[str]:
         """Variables this clause introduces into the tuple stream."""
+        return []
+
+    def exprs(self) -> list[RuntimeIterator]:
+        """The expressions this clause evaluates, in source order."""
         return []
 
     def supports_df(self) -> bool:
@@ -81,6 +79,9 @@ class ForClauseIterator(ClauseIterator):
 
     def bound_vars(self) -> list[str]:
         return [self.var] + ([self.position_var] if self.position_var else [])
+
+    def exprs(self) -> list[RuntimeIterator]:
+        return [self.expr]
 
     def supports_df(self) -> bool:
         return self.position_var is None
@@ -128,7 +129,7 @@ class ForClauseIterator(ClauseIterator):
         # single-threaded engine run the filter query at any size
         # while group/sort blow up (Fig. 12).
         for tup in tuples:
-            ctx = _tuple_ctx(outer_ctx, tup)
+            ctx = tuple_context(outer_ctx, tup)
             idx = 0
             for item in self.expr.iter_items(ctx):
                 idx += 1
@@ -148,9 +149,8 @@ class ForClauseIterator(ClauseIterator):
         # Extended projection + EXPLODE (§4.4). The UDF evaluates the
         # for-expression per incoming tuple and returns one serialized
         # single-item sequence per binding.
-        udf = make_explode_udf(
-            self.expr, tframe.var_order(), outer_ctx.variables, outer_ctx.config
-        )
+        udf = clause_udf(self.expr, tframe.var_order(), outer_ctx,
+                         explode_cells, ArrayType(StringType()))
         tmp = tframe.fresh_col(self.var + "_all")
         new = tframe.fresh_col(self.var)
         df = tframe.df.withColumn(tmp, udf(*tframe.cols()))
@@ -179,21 +179,23 @@ class LetClauseIterator(ClauseIterator):
     def bound_vars(self) -> list[str]:
         return [self.var]
 
+    def exprs(self) -> list[RuntimeIterator]:
+        return [self.expr]
+
     def start_local(self, outer_ctx: DynamicContext) -> Iterator[LocalTuple]:
         # A FLWOR starting with `let` runs locally (§4.5).
         yield from self.apply_local(iter([{}]), outer_ctx)
 
     def apply_local(self, tuples, outer_ctx):
         for tup in tuples:
-            ctx = _tuple_ctx(outer_ctx, tup)
+            ctx = tuple_context(outer_ctx, tup)
             out = dict(tup)
             out[self.var] = self.expr.materialize(ctx)
             yield out
 
     def apply_df(self, tframe, outer_ctx):
-        udf = make_sequence_udf(
-            self.expr, tframe.var_order(), outer_ctx.variables, outer_ctx.config
-        )
+        udf = clause_udf(self.expr, tframe.var_order(), outer_ctx,
+                         dumps_seq, StringType())
         new = tframe.fresh_col(self.var)
         df = tframe.df.withColumn(new, udf(*tframe.cols()))
         columns = dict(tframe.columns)
@@ -214,16 +216,18 @@ class WhereClauseIterator(ClauseIterator):
     def __init__(self, expr: RuntimeIterator):
         self.expr = expr
 
+    def exprs(self) -> list[RuntimeIterator]:
+        return [self.expr]
+
     def apply_local(self, tuples, outer_ctx):
         for tup in tuples:
-            ctx = _tuple_ctx(outer_ctx, tup)
+            ctx = tuple_context(outer_ctx, tup)
             if effective_boolean_value(self.expr.materialize(ctx)):
                 yield tup
 
     def apply_df(self, tframe, outer_ctx):
-        udf = make_boolean_udf(
-            self.expr, tframe.var_order(), outer_ctx.variables, outer_ctx.config
-        )
+        udf = clause_udf(self.expr, tframe.var_order(), outer_ctx,
+                         effective_boolean_value, BooleanType())
         return TupleFrame(
             tframe.df.filter(udf(*tframe.cols())),
             dict(tframe.columns),
@@ -256,6 +260,9 @@ class GroupByClauseIterator(ClauseIterator):
     def bound_vars(self) -> list[str]:
         return [v for v, e in self.keys if e is not None]
 
+    def exprs(self) -> list[RuntimeIterator]:
+        return [e for _, e in self.keys if e is not None]
+
     def _mode(self, var: str) -> str:
         return self.aggregations.get(var, "materialize")
 
@@ -275,7 +282,7 @@ class GroupByClauseIterator(ClauseIterator):
             tup = dict(tup)
             for var, expr in self.keys:
                 if expr is not None:
-                    tup[var] = expr.materialize(_tuple_ctx(outer_ctx, tup))
+                    tup[var] = expr.materialize(tuple_context(outer_ctx, tup))
             if modes is None:
                 modes = {
                     v: ("key" if v in key_vars else self._mode(v)) for v in tup
@@ -329,17 +336,16 @@ class GroupByClauseIterator(ClauseIterator):
                 work = LetClauseIterator(var, expr).apply_df(work, outer_ctx)
         df, columns = work.df, work.columns
 
-        # 2. Typed encoding columns per key (§4.7).
+        # 2. Typed encoding columns per key (§4.7), each from its own column.
         from ..iterators.basic import VarRefIterator
 
         key_structs = {}
         for var in key_vars:
-            udf = make_key_udf(
-                VarRefIterator(var), list(columns), outer_ctx.variables,
-                outer_ctx.config, empty_greatest=False, clause="group-by key",
-            )
+            udf = clause_udf(VarRefIterator(var), [var], outer_ctx,
+                             key_cells(empty_greatest=False, clause="group-by key"),
+                             KEY_STRUCT)
             kcol = work.fresh_col(var + "_key")
-            df = df.withColumn(kcol, udf(*[F.col(columns[v]) for v in columns]))
+            df = df.withColumn(kcol, udf(F.col(columns[var])))
             key_structs[var] = kcol
 
         group_cols = []
@@ -390,12 +396,15 @@ class OrderByClauseIterator(ClauseIterator):
         # spec = (expr_iter, ascending, empty_greatest)
         self.specs = specs
 
+    def exprs(self) -> list[RuntimeIterator]:
+        return [e for e, _, _ in self.specs]
+
     # -- local ---------------------------------------------------------------
     def apply_local(self, tuples, outer_ctx):
         rows = []
         codes: list[set[int]] = [set() for _ in self.specs]
         for tup in tuples:
-            ctx = _tuple_ctx(outer_ctx, tup)
+            ctx = tuple_context(outer_ctx, tup)
             keys = []
             for i, (expr, _asc, eg) in enumerate(self.specs):
                 enc = encode_key(
@@ -419,12 +428,11 @@ class OrderByClauseIterator(ClauseIterator):
         df = tframe.df
         key_cols = []
         for i, (expr, asc, eg) in enumerate(self.specs):
-            udf = make_key_udf(
-                expr, tframe.var_order(), outer_ctx.variables, outer_ctx.config,
-                empty_greatest=eg, clause="order-by key",
-            )
+            udf = clause_udf(expr, tframe.var_order(), outer_ctx,
+                             key_cells(empty_greatest=eg, clause="order-by key"),
+                             KEY_STRUCT)
             kcol = tframe.fresh_col(f"sort{i}")
-            df = df.withColumn(kcol, udf(*[F.col(tframe.columns[v]) for v in tframe.var_order()]))
+            df = df.withColumn(kcol, udf(*tframe.cols()))
             key_cols.append((kcol, asc))
 
         # First pass (§4.8): one job evaluates the keys, checkpoints the

@@ -18,15 +18,15 @@ from typing import Iterator
 from ..dynamic_context import DynamicContext
 from ..items import Item, loads_seq
 from ..iterators.base import RuntimeIterator, active_spark
-from .clauses import ClauseIterator, ForClauseIterator, _tuple_ctx
+from .clauses import ClauseIterator, ForClauseIterator
+from .frame import tuple_context
 
 
 class FLWORIterator(RuntimeIterator):
     """Runtime iterator of a whole FLWOR expression."""
 
     def __init__(self, clauses: list[ClauseIterator], return_expr: RuntimeIterator):
-        exprs = [getattr(c, "expr", None) for c in clauses]
-        super().__init__([e for e in exprs if e is not None] + [return_expr])
+        super().__init__([e for c in clauses for e in c.exprs()] + [return_expr])
         self.clauses = clauses
         self.return_expr = return_expr
 
@@ -76,15 +76,10 @@ class FLWORIterator(RuntimeIterator):
         var_order = tframe.var_order()
         colnames = [tframe.columns[v] for v in var_order]
         ret = self.return_expr
-        outer_vars = ctx.variables
-        config = ctx.config
 
         def emit(row) -> list[Item]:
-            variables = dict(outer_vars)
-            for v, c in zip(var_order, colnames):
-                variables[v] = loads_seq(row[c])
-            inner = DynamicContext(variables=variables, config=config)
-            return ret.materialize(inner)
+            cells = (loads_seq(row[c]) for c in colnames)
+            return ret.materialize(tuple_context(ctx, zip(var_order, cells)))
 
         return tframe.df.rdd.flatMap(emit)
 
@@ -107,8 +102,7 @@ class FLWORIterator(RuntimeIterator):
             tick += 1
             if tick & 255 == 0:
                 ctx.config.check_deadline()
-            inner = _tuple_ctx(ctx, tup)
-            yield from self.return_expr.materialize(inner)
+            yield from self.return_expr.materialize(tuple_context(ctx, tup))
 
     def _tree_label(self) -> str:
         return f"[{', '.join(type(c).__name__ for c in self.clauses)}]"

@@ -13,21 +13,24 @@ synthetic names) and tracks which variables are guaranteed single-item
 per tuple (``for``-bound) — the precondition for the §4.7 COUNT
 push-down.
 
-The `make_*_udf` builders create the paper's ``EVALUATE_EXPRESSION``
-UDFs: each deserializes the in-scope variable cells into a dynamic
-context, evaluates a nested runtime iterator via its local API
-(executors never nest Spark jobs, §5.6), and re-serializes the result.
+This module is the one tuple-cell codec. :func:`tuple_context` builds
+the dynamic context of one tuple, for local clauses, clause UDFs and
+the return clause alike. :func:`clause_udf` builds the paper's
+``EVALUATE_EXPRESSION`` UDFs: each deserializes the variable cells it
+reads into that context, evaluates a nested runtime iterator via its
+local API (executors never nest Spark jobs, §5.6), and finishes the
+result per clause (serialize, explode, boolean, key encoding).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Callable
 
 import pandas as pd
 
 from pyspark.sql import DataFrame, functions as F
 from pyspark.sql.types import (
-    ArrayType,
-    BooleanType,
+    DataType,
     DoubleType,
     IntegerType,
     StringType,
@@ -35,8 +38,8 @@ from pyspark.sql.types import (
     StructType,
 )
 
-from ..dynamic_context import DynamicContext, RumbleConfig
-from ..items import dumps_seq, encode_key, loads_seq
+from ..dynamic_context import DynamicContext
+from ..items import Sequence, dumps_seq, encode_key, loads_seq
 
 #: Schema of one encoded grouping/ordering key (§4.7): the three native
 #: columns the paper prescribes, plus the serialized original sequence
@@ -74,90 +77,59 @@ class TupleFrame:
         return [F.col(self.columns[v]) for v in self.var_order()]
 
 
-def _context_factory(var_order: list[str], outer_vars: dict, config: RumbleConfig):
-    """Build the per-row dynamic context used inside clause UDFs."""
-
-    def make(cells) -> DynamicContext:
-        variables = dict(outer_vars)
-        for v, c in zip(var_order, cells):
-            variables[v] = loads_seq(c)
-        return DynamicContext(variables=variables, config=config)
-
-    return make
+def tuple_context(outer_ctx: DynamicContext, bindings) -> DynamicContext:
+    """The dynamic context a clause expression sees in one tuple: the
+    outer variables, overridden by ``bindings`` (a tuple dict or
+    (name, sequence) pairs)."""
+    variables = dict(outer_ctx.variables)
+    variables.update(bindings)
+    return DynamicContext(variables=variables, config=outer_ctx.config)
 
 
-# All clause evaluators are Arrow-batched pandas UDFs: the per-row work
-# (deserialize cells → dynamic context → evaluate the nested iterator →
-# re-serialize) is unavoidable in any Rumble-style engine, but batching
-# removes Spark's per-row pickle dispatch — the PySpark counterpart of
-# the paper's serialized-Java-closure efficiency (§5.6).
+# Every clause evaluator is an Arrow-batched pandas UDF: the per-row
+# work (deserialize cells → dynamic context → evaluate the nested
+# iterator → finish) is unavoidable in any Rumble-style engine, but
+# batching removes Spark's per-row pickle dispatch — the PySpark
+# counterpart of the paper's serialized-Java-closure efficiency (§5.6).
 
+def clause_udf(expr_iter, names: list[str], outer_ctx: DynamicContext,
+               finish: Callable, return_type: DataType):
+    """The paper's ``EVALUATE_EXPRESSION`` UDF, applied to the cells of
+    the variables ``names``, in that order. Per row it evaluates
+    ``expr_iter`` in the tuple's context and returns ``finish`` of the
+    sequence; for a struct ``return_type``, ``finish`` returns a tuple."""
 
-def make_sequence_udf(expr_iter, var_order, outer_vars, config):
-    """``let`` evaluator: row → JSON-serialized sequence (§4.5)."""
-
-    ctx_of = _context_factory(var_order, outer_vars, config)
-
+    # The hints make pandas_udf build a scalar UDF; a struct
+    # return_type takes a DataFrame in place of the Series.
     def f(*cols: pd.Series) -> pd.Series:
-        return pd.Series(
-            [dumps_seq(expr_iter.materialize(ctx_of(cells)))
-             for cells in zip(*cols)]
-        )
-
-    return F.pandas_udf(f, StringType())
-
-
-def make_explode_udf(expr_iter, var_order, outer_vars, config):
-    """``for`` evaluator: row → array of single-item JSON sequences,
-    ready for EXPLODE (§4.4)."""
-
-    ctx_of = _context_factory(var_order, outer_vars, config)
-
-    def f(*cols: pd.Series) -> pd.Series:
-        out = []
-        for cells in zip(*cols):
-            seq = expr_iter.materialize(ctx_of(cells))
-            out.append([dumps_seq([item]) for item in seq])
+        out = [
+            finish(expr_iter.materialize(
+                tuple_context(outer_ctx, zip(names, map(loads_seq, cells)))))
+            for cells in zip(*cols)
+        ]
+        if isinstance(return_type, StructType):
+            return pd.DataFrame(out, columns=return_type.names)
         return pd.Series(out)
 
-    return F.pandas_udf(f, ArrayType(StringType()))
+    return F.pandas_udf(f, return_type)
 
 
-def make_boolean_udf(expr_iter, var_order, outer_vars, config):
-    """``where`` evaluator: row → effective boolean value (§4.6)."""
-    from ..items import effective_boolean_value
-
-    ctx_of = _context_factory(var_order, outer_vars, config)
-
-    def f(*cols: pd.Series) -> pd.Series:
-        return pd.Series(
-            [effective_boolean_value(expr_iter.materialize(ctx_of(cells)))
-             for cells in zip(*cols)]
-        )
-
-    return F.pandas_udf(f, BooleanType())
+def explode_cells(seq: Sequence) -> list[str]:
+    """``for`` finisher: one single-item cell per binding, ready for
+    EXPLODE (§4.4)."""
+    return [dumps_seq([item]) for item in seq]
 
 
-def make_key_udf(expr_iter, var_order, outer_vars, config, *,
-                 empty_greatest: bool, clause: str):
-    """Grouping/ordering key evaluator: row → (code, s, d, canon) —
-    the §4.7 typed encoding computed "in pure Java" in the paper,
-    in batched Python here."""
+def key_cells(*, empty_greatest: bool, clause: str) -> Callable:
+    """Grouping/ordering key finisher: sequence → (code, s, d, canon),
+    the §4.7 typed encoding computed "in pure Java" in the paper, in
+    batched Python here (``KEY_STRUCT``)."""
 
-    ctx_of = _context_factory(var_order, outer_vars, config)
+    def finish(seq: Sequence) -> tuple:
+        return (*encode_key(seq, empty_greatest=empty_greatest, clause=clause),
+                dumps_seq(seq))
 
-    def f(*cols: pd.Series) -> pd.DataFrame:
-        codes, ss, ds, canons = [], [], [], []
-        for cells in zip(*cols):
-            seq = expr_iter.materialize(ctx_of(cells))
-            code, s, d = encode_key(seq, empty_greatest=empty_greatest, clause=clause)
-            codes.append(code)
-            ss.append(s)
-            ds.append(d)
-            canons.append(dumps_seq(seq))
-        return pd.DataFrame({"code": codes, "s": ss, "d": ds, "canon": canons})
-
-    return F.pandas_udf(f, KEY_STRUCT)
+    return finish
 
 
 def merge_sequences_udf():

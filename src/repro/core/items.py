@@ -228,21 +228,3 @@ def check_orderable_types(codes: set[int], spec_label: str = "order-by key") -> 
             f"{spec_label}: incompatible types in tuple stream: {sorted(families)}"
         )
 
-
-def decode_key(enc: EncodedKey) -> Sequence:
-    """Recover the original key item sequence from its typed encoding
-    (the paper's ARRAY_DISTINCT step; we invert losslessly instead)."""
-    code, s, d = enc
-    if code in (TYPE_EMPTY_LEAST, TYPE_EMPTY_GREATEST):
-        return []
-    if code == TYPE_NULL:
-        return [None]
-    if code == TYPE_FALSE:
-        return [False]
-    if code == TYPE_TRUE:
-        return [True]
-    if code == TYPE_STRING:
-        return [s]
-    if code == TYPE_NUMBER:
-        return [int(d) if float(d).is_integer() else d]
-    raise TypeError_(f"bad type code {code}")

@@ -15,9 +15,10 @@ enabled by JSONiq being a functional language:
 clauses *after* a group-by plus the return expression, respecting
 shadowing by nested binders, and decides a mode per non-grouping
 variable: ``"materialize"`` (default), ``"count"`` or ``"drop"``.
-When a variable goes to count mode, every downstream ``count($v)``
-call is rewritten to ``$v`` (the aggregated column already holds the
-count). Count mode additionally requires the variable to be provably
+When a variable goes to count mode, it also reports every downstream
+``count($v)`` call site, which the translator translates as ``$v``
+(the aggregated column already holds the count); the AST is never
+modified. Count mode additionally requires the variable to be provably
 single-item per tuple (bound by a plain ``for`` or ``count`` clause),
 since Spark's COUNT counts tuples, not items.
 """
@@ -37,8 +38,7 @@ class _Usage:
 def _scan(node: ast.Expr | ast.Clause, var: str, usage: _Usage,
           count_calls: list[ast.FunctionCall]) -> None:
     """Collect how ``var`` is used under ``node``; stop at shadowing
-    binders. ``count_calls`` accumulates the count($var) call sites for
-    the later rewrite."""
+    binders. ``count_calls`` accumulates the count($var) call sites."""
     if isinstance(node, ast.VarRef):
         if node.name == var:
             usage.other = True
@@ -57,32 +57,12 @@ def _scan(node: ast.Expr | ast.Clause, var: str, usage: _Usage,
             _scan(a, var, usage, count_calls)
         return
     if isinstance(node, ast.FLWORExpr):
-        shadowed = False
         for c in node.clauses:
-            if shadowed:
-                break
-            if isinstance(c, ast.ForClause):
-                _scan(c.expr, var, usage, count_calls)
-                if var in (c.var, c.position_var):
-                    shadowed = True
-            elif isinstance(c, ast.LetClause):
-                _scan(c.expr, var, usage, count_calls)
-                if c.var == var:
-                    shadowed = True
-            elif isinstance(c, ast.GroupByClause):
-                for k in c.keys:
-                    if k.expr is not None:
-                        _scan(k.expr, var, usage, count_calls)
-                    if k.var == var and k.expr is not None:
-                        shadowed = True
-            elif isinstance(c, ast.CountClause):
-                if c.var == var:
-                    shadowed = True
-            else:
-                for e in c.children():
-                    _scan(e, var, usage, count_calls)
-        if not shadowed:
-            _scan(node.return_expr, var, usage, count_calls)
+            for e in c.children():
+                _scan(e, var, usage, count_calls)
+            if _binds(c, var):
+                return
+        _scan(node.return_expr, var, usage, count_calls)
         return
     if isinstance(node, ast.QuantifiedExpr):
         shadowed = False
@@ -103,10 +83,42 @@ def _scan(node: ast.Expr | ast.Clause, var: str, usage: _Usage,
         _scan(child, var, usage, count_calls)
 
 
-def plan_groupby_aggregations(flwor: ast.FLWORExpr, gb_index: int) -> dict[str, str]:
+def _binds(clause: ast.Clause, var: str) -> bool:
+    """Whether ``clause`` (re)binds ``var`` for the clauses after it."""
+    if isinstance(clause, ast.ForClause):
+        return var in (clause.var, clause.position_var)
+    if isinstance(clause, (ast.LetClause, ast.CountClause)):
+        return clause.var == var
+    if isinstance(clause, ast.GroupByClause):
+        return any(k.var == var and k.expr is not None for k in clause.keys)
+    return False
+
+
+def _regrouped(clauses: list[ast.Clause], return_expr: ast.Expr, var: str) -> bool:
+    """Whether a later group-by in ``clauses`` merges the groups of
+    ``var`` and what follows still reads it. A count-mode column holds
+    one count per tuple, which neither a merge nor a grouping by ``$var``
+    itself can use."""
+    for j, c in enumerate(clauses):
+        if isinstance(c, ast.GroupByClause):
+            if any(k.var == var and k.expr is None for k in c.keys):
+                return True
+            if _binds(c, var):
+                return False
+            after = _Usage()
+            _scan(ast.FLWORExpr(clauses[j + 1 :], return_expr), var, after, [])
+            return after.counted or after.other
+        if _binds(c, var):
+            return False
+    return False
+
+
+def plan_groupby_aggregations(
+    flwor: ast.FLWORExpr, gb_index: int
+) -> tuple[dict[str, str], list[ast.FunctionCall]]:
     """Decide the aggregation mode of every non-grouping variable of the
-    group-by clause at ``flwor.clauses[gb_index]`` and rewrite downstream
-    ``count($v)`` calls for count-mode variables. Returns {var: mode}."""
+    group-by clause at ``flwor.clauses[gb_index]``. Returns ({var: mode},
+    the downstream ``count($v)`` calls of the count-mode variables)."""
     gb = flwor.clauses[gb_index]
     assert isinstance(gb, ast.GroupByClause)
     key_vars = {k.var for k in gb.keys}
@@ -122,39 +134,32 @@ def plan_groupby_aggregations(flwor: ast.FLWORExpr, gb_index: int) -> dict[str, 
         elif isinstance(c, ast.LetClause):
             in_scope[c.var] = False
         elif isinstance(c, ast.GroupByClause):
-            for k in c.keys:
-                in_scope[k.var] = True  # keys are single atomics/empty
+            # Non-grouping variables now hold whole groups, and a key
+            # may be the empty sequence.
+            in_scope = dict.fromkeys([*in_scope, *(k.var for k in c.keys)], False)
         elif isinstance(c, ast.CountClause):
             in_scope[c.var] = True
 
-    downstream: list[ast.Expr | ast.Clause] = list(flwor.clauses[gb_index + 1 :])
-    downstream.append(flwor.return_expr)
+    # The rest of the FLWOR, scanned like a nested one so that a later
+    # clause rebinding a variable hides the uses after it.
+    rest = flwor.clauses[gb_index + 1 :]
+    downstream = ast.FLWORExpr(rest, flwor.return_expr)
 
     modes: dict[str, str] = {}
+    counted: list[ast.FunctionCall] = []
     for var, single in in_scope.items():
         if var in key_vars:
             continue
         usage = _Usage()
         count_calls: list[ast.FunctionCall] = []
-        for node in downstream:
-            _scan(node, var, usage, count_calls)
+        _scan(downstream, var, usage, count_calls)
+        if _regrouped(rest, flwor.return_expr, var):
+            usage.other = True
         if not usage.counted and not usage.other:
             modes[var] = "drop"
         elif usage.counted and not usage.other and single:
             modes[var] = "count"
-            # Rewrite count($v) -> $v in place: the aggregated column
-            # already holds the count as a single integer item.
-            for call in count_calls:
-                call.name = "__identity_count"
-                call.args = [ast.VarRef(var)]
+            counted += count_calls
         else:
             modes[var] = "materialize"
-    return modes
-
-
-def apply_count_rewrites(expr: ast.Expr) -> ast.Expr:
-    """Replace the ``__identity_count`` markers planted by
-    :func:`plan_groupby_aggregations` with plain variable references."""
-    # The translator resolves __identity_count directly; nothing to do
-    # at AST level. Kept as an explicit no-op hook for clarity.
-    return expr
+    return modes, counted

@@ -55,6 +55,8 @@ def translate(expr: ast.Expr, *, optimize: bool = True) -> RuntimeIterator:
     translate with ``optimize=False`` to model engines that materialize
     every non-grouping variable (see DESIGN.md §4).
     """
+    # ids of the count($v) calls whose $v the group-by already counted.
+    counted: set[int] = set()
 
     def t(e: ast.Expr) -> RuntimeIterator:
         if isinstance(e, ast.Literal):
@@ -118,8 +120,8 @@ def translate(expr: ast.Expr, *, optimize: bool = True) -> RuntimeIterator:
         raise StaticError(f"cannot translate {type(e).__name__}")
 
     def t_function(call: ast.FunctionCall) -> RuntimeIterator:
-        if call.name == "__identity_count":
-            # Marker from the optimizer: the variable already holds the count.
+        if id(call) in counted:
+            # The aggregated variable already holds the count.
             return t(call.args[0])
         if call.name == "json-file":
             if not 1 <= len(call.args) <= 2:
@@ -138,13 +140,14 @@ def translate(expr: ast.Expr, *, optimize: bool = True) -> RuntimeIterator:
         return FunctionCallIterator(call.name, [t(a) for a in call.args])
 
     def t_flwor(flwor: ast.FLWORExpr) -> FLWORIterator:
-        # Apply the §4.7 group-by optimizations first (they rewrite
-        # downstream count() calls in place).
+        # Plan the §4.7 group-by optimizations first: they decide how
+        # the downstream count() calls translate.
         aggregations: dict[int, dict[str, str]] = {}
         if optimize:
             for i, c in enumerate(flwor.clauses):
                 if isinstance(c, ast.GroupByClause):
-                    aggregations[i] = plan_groupby_aggregations(flwor, i)
+                    aggregations[i], calls = plan_groupby_aggregations(flwor, i)
+                    counted.update(map(id, calls))
 
         clause_iters: list[ClauseIterator] = []
         for i, c in enumerate(flwor.clauses):

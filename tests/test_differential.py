@@ -40,6 +40,16 @@ QUERIES = [
     "order by $n descending, $k return ($k, $n)",
     "for $o in {src} for $m in $o.w[] return $m",
     "for $o in {src} for $m allowing empty in $o.w[] return count($m)",
+    "let $m := 2 return for $o in {src} where $o.v ge $m return $o.g",
+    "for $o in {src} let $o := $o.v return $o",
+    'for $o in {src} group by $g := $o.g, $t := $o.t '
+    'return {{"g": $g, "t": $t, "n": count($o)}}',
+    "let $m := 2 return for $o in {src} "
+    "order by ($o.v ge $m) descending, $o.g return $o.g",
+    # count($v) after a second group-by counts the merged groups.
+    "for $o in {src} group by $g := $o.g group by $n := 1 return count($o)",
+    # An earlier group key may be empty: count() of it is 0, not 1.
+    "for $o in {src} group by $v := $o.v group by $n := 1 return count($v)",
 ]
 
 

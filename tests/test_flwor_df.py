@@ -1,5 +1,8 @@
 """FLWOR DataFrame execution tests (paper §4.3–§4.10): the tuple
 stream flows through Spark SQL; results must match the local path."""
+import contextlib
+import io
+import re
 import sys
 import threading
 
@@ -32,6 +35,32 @@ def run_within(engine: Rumble, query: str, seconds: float = 120):
     t.join(seconds)
     assert not t.is_alive(), f"query still running after {seconds} s"
     return out["items"]
+
+
+_EVAL_NODE = re.compile(r"(?:ArrowEvalPython|BatchEvalPython) \[(.*)\], \[")
+_CALL_END = re.compile(r"\)#(\d+)")
+
+
+def udf_input_counts(df) -> list[int]:
+    """Input count of every Python UDF call in the plan of ``df``,
+    sorted. Spark chains a UDF that reads only another UDF's result into
+    one node, ``f(f(col)#1)#2``, so calls are matched by parenthesis
+    depth. A sub-plan printed twice (AQE's final and initial plan) is
+    counted once, by expression id."""
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        df.explain()
+    calls = {}
+    for node in _EVAL_NODE.finditer(buf.getvalue()):
+        text, open_args = node.group(1), []
+        for i, ch in enumerate(text):
+            if ch == "(":
+                open_args.append(1)
+            elif ch == "," and open_args:
+                open_args[-1] += 1
+            elif ch == ")":
+                calls[_CALL_END.match(text, i).group(1)] = open_args.pop()
+    return sorted(calls.values())
 
 
 def df_backed(engine: Rumble, query: str) -> bool:
@@ -252,6 +281,17 @@ class TestClausesOnDataFrames:
             "for $x in parallelize((1, 2)) return $x * $k"
         )
         assert sorted(got) == [10, 20]
+
+    def test_group_key_udf_reads_only_its_column(self, rumble):
+        # The let UDF reads $o; the key UDF reads $v alone, not every
+        # in-scope column.
+        it = rumble.compile(
+            "for $o in parallelize(({\"v\": 1}, {\"v\": 2}, {\"v\": 1})) "
+            "let $v := $o.v group by $v return count($o)"
+        )
+        df = it._build_tframe(rumble._ctx()).df
+        assert sorted(r[0] for r in df.collect()) == ["[1]", "[2]"]
+        assert udf_input_counts(df) == [1, 1]
 
     def test_group_key_reconstruction_types(self, rumble):
         # Keys come back with their original types (int vs string vs bool).

@@ -169,18 +169,6 @@ class TestKeyEncoding:
         with pytest.raises(NonAtomicKeyError):
             items.encode_key(bad)
 
-    @pytest.mark.parametrize(
-        "seq",
-        [[], [None], [True], [False], ["x"], [2], [2.5]],
-    )
-    def test_decode_roundtrip(self, seq):
-        enc = items.encode_key(seq)
-        dec = items.decode_key(enc)
-        if seq == [2]:
-            assert dec == [2]  # integral double decodes to int
-        else:
-            assert dec == seq
-
 
 class TestOrderableTypeCheck:
     def test_compatible_families(self):

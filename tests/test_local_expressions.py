@@ -3,6 +3,7 @@ engine's pull-based path (§5.5), no Spark involved. One parametrized
 battery per expression family."""
 import pytest
 
+from repro.core import Rumble, RumbleConfig
 from repro.jsoniq.errors import DynamicError, TypeError_
 
 ARITHMETIC = [
@@ -230,3 +231,23 @@ class TestIteratorProtocol:
     def test_explain_tree(self, local_engine):
         tree = local_engine.explain("for $x in (1,2) return $x + 1")
         assert "FLWORIterator" in tree and "ArithmeticIterator" in tree
+
+    @pytest.mark.parametrize("optimize,order_key", [
+        (False, "FunctionCallIterator count"),
+        (True, "VarRefIterator $i"),  # count($i) pushed into the group-by
+    ])
+    def test_explain_shows_every_clause_expression(self, optimize, order_key):
+        # The README query: the group-by and order-by key expressions
+        # are FLWOR children like the for, where and return expressions.
+        eng = Rumble(None, RumbleConfig(force_local=True, enable_optimizations=optimize))
+        it = eng.compile(
+            "for $i in (1, 2, 3) where $i ge 1 group by $k := $i mod 2 "
+            'order by count($i) descending return {"k": $k, "n": count($i)}'
+        )
+        assert [c.tree().split("\n")[0] for c in it.children] == [
+            "SequenceConcatIterator",
+            "ComparisonIterator ge",
+            "ArithmeticIterator mod",
+            order_key,
+            "ObjectConstructorIterator",
+        ]

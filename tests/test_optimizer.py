@@ -2,7 +2,9 @@
 unused-variable pruning, plus their end-to-end equivalence."""
 import pytest
 
+from repro.core import Rumble, RumbleConfig
 from repro.core.optimizer import plan_groupby_aggregations
+from repro.core.translator import translate
 from repro.jsoniq import ast, parse
 
 
@@ -12,7 +14,7 @@ def plan(query: str) -> dict[str, str]:
     gb_index = next(
         i for i, c in enumerate(tree.clauses) if isinstance(c, ast.GroupByClause)
     )
-    return plan_groupby_aggregations(tree, gb_index)
+    return plan_groupby_aggregations(tree, gb_index)[0]
 
 
 class TestPlanning:
@@ -70,10 +72,44 @@ class TestPlanning:
 
     def test_rewrite_marks_count_call(self):
         tree = parse("for $x in (1, 2) group by $k := $x return count($x)")
-        plan_groupby_aggregations(tree, 1)
+        _modes, calls = plan_groupby_aggregations(tree, 1)
         ret = tree.return_expr
+        assert calls == [ret] and calls[0] is ret
+        # The planner reports the call site; the AST still reads count($x).
         assert isinstance(ret, ast.FunctionCall)
-        assert ret.name == "__identity_count"
+        assert ret.name == "count" and ret.args == [ast.VarRef("x")]
+
+    def test_shadowed_call_is_not_reported(self):
+        tree = parse(
+            "for $x in (1, 2) group by $k := $x "
+            "return (count($x), for $x in (9) return count($x))"
+        )
+        _modes, calls = plan_groupby_aggregations(tree, 1)
+        assert calls == [tree.return_expr.exprs[0]]
+        assert calls[0] is tree.return_expr.exprs[0]
+
+    def test_later_rebinding_hides_uses(self):
+        # After `let $x := 5`, count($x) counts the new binding.
+        modes = plan(
+            "for $x in (1, 2) group by $k := $x let $x := 5 return count($x)"
+        )
+        assert modes == {"x": "drop"}
+
+    def test_later_group_by_regroups(self):
+        # A count-mode column cannot be merged by the second group-by.
+        modes = plan(
+            "for $x in (1, 2) group by $k := $x mod 2 group by $j := $k "
+            "return count($x)"
+        )
+        assert modes == {"x": "materialize"}
+
+    def test_earlier_group_key_is_not_single(self):
+        # A key may be the empty sequence; Spark's COUNT would count 1.
+        tree = parse(
+            "for $x in (1, 2) group by $k := $x.a group by $j := 1 "
+            "return count($k)"
+        )
+        assert plan_groupby_aggregations(tree, 2)[0] == {"x": "drop", "k": "materialize"}
 
 
 class TestEndToEndEquivalence:
@@ -109,6 +145,34 @@ class TestEndToEndEquivalence:
             'for $x in ("b", "a", "b") group by $k := $x order by $k return $k'
         )
         assert got == ["a", "b"]
+
+    @pytest.mark.parametrize(
+        "query,expected",
+        [
+            (
+                "for $x in (1, 2, 3) group by $k := $x mod 2 let $x := 5 "
+                "order by $k return count($x)",
+                [1, 1],
+            ),
+            (
+                "for $x in (1, 2, 3, 4, 5, 6) group by $k := $x mod 3 "
+                "group by $j := $k mod 2 order by $j return count($x)",
+                [4, 2],
+            ),
+        ],
+        ids=["rebound-after-group", "two-group-bys"],
+    )
+    def test_count_pushdown_respects_later_clauses(self, local_engine, query, expected):
+        assert local_engine.run(query) == expected
+
+    def test_translating_twice_gives_same_results(self):
+        # The optimized translation must leave the tree as it found it.
+        tree = parse(
+            "for $x in (1, 2, 2) group by $k := $x order by $k return count($x)"
+        )
+        ctx = Rumble(None, RumbleConfig(force_local=True))._ctx()
+        assert translate(tree).materialize(ctx) == [1, 2]
+        assert translate(tree, optimize=False).materialize(ctx) == [1, 2]
 
     def test_explain_shows_identity_rewrite(self, local_engine):
         tree = local_engine.explain(
