@@ -6,17 +6,14 @@ are small plain objects so that Spark closures carrying runtime
 iterators + their opening contexts pickle cheaply (§5.6).
 
 :class:`RumbleConfig` carries the knobs the paper describes: the
-materialization cap with warning (§5.5), plus the simulated resource
-budgets used by the single-threaded baseline engines of Fig. 12
-(deadline, item cap) — see DESIGN.md §4.
+materialization cap with warning (§5.5).
 """
 from __future__ import annotations
 
-import time
 import warnings
 from dataclasses import dataclass, field
 
-from ..jsoniq.errors import DeadlineExceeded, MaterializationCapExceeded
+from ..jsoniq.errors import MaterializationCapExceeded
 from .items import Item, Sequence
 
 
@@ -33,34 +30,11 @@ class RumbleConfig:
     #: Disable Spark entirely: every iterator reports no RDD support and
     #: sources read locally. Used by the Zorba-like baseline.
     force_local: bool = False
-    #: Wall-clock deadline (epoch seconds) for local evaluation — the
-    #: scaled version of Fig. 12's 600 s cap. None = no deadline.
-    deadline_epoch: float | None = None
-    #: Hard cap on items held by any single local materialization — the
-    #: stand-in for a single-threaded engine's memory limit (Fig. 12).
-    local_item_cap: int | None = None
-    #: Default number of input partitions for json-file() (None = Spark
-    #: default). The T4 speedup sweep sets this.
-    default_input_partitions: int | None = None
-    #: Naive-engine mode (the Xidel-like baseline of Fig. 12): fully
-    #: materialize the input and every FLWOR tuple stream instead of
-    #: streaming, so memory grows with every intermediate.
-    eager: bool = False
     #: Enable the §4.7 group-by rewrites (COUNT push-down, unused-column
     #: pruning). The single-threaded baseline engines disable them to
     #: model Zorba/Xidel, which materialize non-grouping variables and
     #: therefore run out of memory on the grouping query (Fig. 12).
     enable_optimizations: bool = True
-
-    def check_deadline(self) -> None:
-        if self.deadline_epoch is not None and time.time() > self.deadline_epoch:
-            raise DeadlineExceeded("local evaluation exceeded its wall-clock budget")
-
-    def check_item_cap(self, n: int) -> None:
-        if self.local_item_cap is not None and n > self.local_item_cap:
-            raise MaterializationCapExceeded(
-                f"materialized {n} items, cap is {self.local_item_cap}"
-            )
 
     def on_materialization_cap(self, cap: int) -> None:
         msg = f"RDD materialized through the local API was truncated at {cap} items"

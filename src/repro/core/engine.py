@@ -45,6 +45,16 @@ class Rumble:
     def _ctx(self) -> DynamicContext:
         return DynamicContext(config=self.config)
 
+    def _activate(self) -> None:
+        """Make this engine's session the calling thread's active one.
+        The active session is per thread, and iterators run on Spark
+        only where ``active_spark()`` finds one."""
+        if self.spark is not None:
+            SparkSession._activeSession = self.spark
+            SparkSession._get_j_spark_session_class(self.spark._jvm).setActiveSession(
+                self.spark._jsparkSession
+            )
+
     # ------------------------------------------------------------------
     def run(self, query: str, cap: int | None = None) -> Sequence:
         """Execute ``query`` and materialize its result sequence on the
@@ -53,6 +63,7 @@ class Rumble:
         before this returns or raises."""
         it = self.compile(query)
         ctx = self._ctx()
+        self._activate()
         with query_scope():
             if it.supports_rdd(ctx):
                 rdd = it.get_rdd(ctx)
@@ -72,6 +83,7 @@ class Rumble:
         raises, it is released at once."""
         it = self.compile(query)
         ctx = self._ctx()
+        self._activate()
         with query_scope(keep=True):
             if it.supports_rdd(ctx):
                 return it.get_rdd(ctx)

@@ -271,12 +271,9 @@ class GroupByClauseIterator(ClauseIterator):
         # Aggregation modes matter for memory here exactly as they do
         # for Spark (§4.7): count-mode variables accumulate an integer,
         # dropped variables accumulate nothing, and only materialized
-        # variables hold their items — an unoptimized engine (the
-        # Zorba/Xidel stand-ins translate with optimize=False) holds
-        # everything and trips the item cap.
+        # variables hold their items.
         groups: dict[tuple, dict] = {}
         key_vars = [v for v, _ in self.keys]
-        held_items = 0
         modes: dict[str, str] | None = None
         for tup in tuples:
             tup = dict(tup)
@@ -297,12 +294,10 @@ class GroupByClauseIterator(ClauseIterator):
                     mode = modes[v]
                     if mode == "key":
                         grp[v] = seq
-                        held_items += len(seq)
                     elif mode == "count":
                         grp[v] = len(seq)
                     elif mode == "materialize":
                         grp[v] = list(seq)
-                        held_items += len(seq)
                 groups[enc] = grp
             else:
                 for v, seq in tup.items():
@@ -311,8 +306,6 @@ class GroupByClauseIterator(ClauseIterator):
                         grp[v] += len(seq)
                     elif mode == "materialize":
                         grp[v].extend(seq)
-                        held_items += len(seq)
-            outer_ctx.config.check_item_cap(held_items)
         for grp in groups.values():
             out = {}
             for v, acc in grp.items():
@@ -413,7 +406,6 @@ class OrderByClauseIterator(ClauseIterator):
                 codes[i].add(enc[0])
                 keys.append(enc)
             rows.append((keys, tup))
-            outer_ctx.config.check_item_cap(len(rows))
         for i, cs in enumerate(codes):
             check_orderable_types(cs, f"order-by key #{i + 1}")
         # Stable multi-key sort: sort by the last spec first.

@@ -91,17 +91,7 @@ class FLWORIterator(RuntimeIterator):
         tuples = first.start_local(ctx)
         for clause in self.clauses[1:]:
             tuples = clause.apply_local(tuples, ctx)
-            if ctx.config.eager:
-                # Naive-engine mode (Xidel-like baseline): materialize the
-                # whole tuple stream after every clause instead of
-                # streaming — memory grows with each intermediate.
-                tuples = list(tuples)
-                ctx.config.check_item_cap(len(tuples))
-        tick = 0
         for tup in tuples:
-            tick += 1
-            if tick & 255 == 0:
-                ctx.config.check_deadline()
             yield from self.return_expr.materialize(tuple_context(ctx, tup))
 
     def _tree_label(self) -> str:

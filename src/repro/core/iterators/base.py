@@ -56,7 +56,6 @@ class RuntimeIterator:
         self._gen: Optional[Iterator[Item]] = None
         self._lookahead: Item = _NOTHING
         self._opened = False
-        self._deadline_tick = 0
 
     # ------------------------------------------------------------------
     # Local pull API (§5.5)
@@ -65,9 +64,8 @@ class RuntimeIterator:
         if self._opened:
             raise RumbleError(f"{type(self).__name__} opened twice without close")
         self._opened = True
-        self._ctx = ctx
         self._gen = self._iterate(ctx)
-        self._advance(ctx)
+        self._advance()
 
     def has_next(self) -> bool:
         self._require_open()
@@ -78,7 +76,7 @@ class RuntimeIterator:
         if self._lookahead is _NOTHING:
             raise RumbleError(f"next_item() past end of {type(self).__name__}")
         item = self._lookahead
-        self._advance(self._ctx)
+        self._advance()
         return item
 
     def reset(self, ctx: DynamicContext) -> None:
@@ -96,11 +94,7 @@ class RuntimeIterator:
         if not self._opened:
             raise RumbleError(f"{type(self).__name__} used before open()")
 
-    def _advance(self, ctx: DynamicContext) -> None:
-        # Deadline checks are amortized: every 1024 pulled items.
-        self._deadline_tick += 1
-        if self._deadline_tick & 1023 == 0:
-            ctx.config.check_deadline()
+    def _advance(self) -> None:
         try:
             self._lookahead = next(self._gen)  # type: ignore[arg-type]
         except StopIteration:
@@ -108,8 +102,7 @@ class RuntimeIterator:
 
     # ------------------------------------------------------------------
     # Convenience: full local materialization of this iterator's
-    # sequence under ``ctx``. Respects the per-engine local item cap
-    # (the simulated single-thread memory budget of Fig. 12).
+    # sequence under ``ctx``.
     # ------------------------------------------------------------------
     def materialize(self, ctx: DynamicContext) -> Sequence:
         # Hot path: consume the generator directly instead of driving
@@ -117,9 +110,7 @@ class RuntimeIterator:
         # per item; this method runs once per row inside clause UDFs).
         if self._opened:
             self.close()
-        out: Sequence = list(self._iterate(ctx))
-        ctx.config.check_item_cap(len(out))
-        return out
+        return list(self._iterate(ctx))
 
     def iter_items(self, ctx: DynamicContext) -> Iterator[Item]:
         """Direct generator over this iterator's sequence — the cheap

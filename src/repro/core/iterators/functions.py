@@ -31,10 +31,6 @@ def register(name: str, min_args: int, max_args: int):
     return deco
 
 
-def is_known_function(name: str) -> bool:
-    return name in _REGISTRY
-
-
 def validate_call(name: str, n_args: int) -> None:
     """Static arity check (unknown function / wrong arity → StaticError)."""
     if name not in _REGISTRY:

@@ -10,8 +10,7 @@ the large-scale experiments replicate a dataset N× without writing N
 copies (Hadoop's text input accepts comma-joined paths).
 
 When Spark is unavailable (executor side) or disabled
-(``config.force_local`` — the Zorba-like baseline), the file is
-streamed line-by-line in-process.
+(``config.force_local``), the file is streamed line-by-line in-process.
 
 ``parallelize(expr[, num_slices])`` materializes its argument locally
 and ships it to the cluster — the JSONiq wrapper over Spark's
@@ -62,7 +61,7 @@ class JsonFileIterator(RuntimeIterator):
 
     def _partitions(self, ctx: DynamicContext) -> int | None:
         if self.partitions_iter is None:
-            return ctx.config.default_input_partitions
+            return None
         seq = self.partitions_iter.materialize(ctx)
         if len(seq) != 1 or not is_number(seq[0]):
             raise TypeError_("json-file() partitions must be a single number")
@@ -101,28 +100,9 @@ class JsonFileIterator(RuntimeIterator):
         return self._text_rdd(ctx).mapPartitions(_wrap_lines)
 
     def _iterate_local(self, ctx: DynamicContext) -> Iterator[Item]:
-        # Local streaming read — Zorba-like engine and executor-side use.
-        if ctx.config.eager:
-            # Naive-engine mode (Xidel-like): the whole input is parsed
-            # into memory before anything downstream runs.
-            items = list(self._stream_local(ctx))
-            ctx.config.check_item_cap(len(items))
-            yield from items
-        else:
-            yield from self._stream_local(ctx)
-
-    def _stream_local(self, ctx: DynamicContext) -> Iterator[Item]:
-        n = 0
-        ctx.config.check_deadline()
         for path in self._path(ctx).split(","):
             with open(path, "r", encoding="utf-8") as f:
-                for item in _parse_lines(f):
-                    n += 1
-                    if n & 255 == 0:
-                        ctx.config.check_deadline()
-                        if ctx.config.eager:
-                            ctx.config.check_item_cap(n)
-                    yield item
+                yield from _parse_lines(f)
 
 
 class ParallelizeIterator(RuntimeIterator):

@@ -95,6 +95,31 @@ class TestSingleThreadedEngines:
                 Q.jsoniq_group(confusion_path), budget_s=0.0
             )
 
+    @pytest.mark.parametrize("engine, query, dies_at", [
+        ("zorba_like", "filter", ()),
+        ("zorba_like", "group", ("100", "N-1")),
+        ("zorba_like", "sort", ("100",)),
+        ("xidel_like", "filter", ("100", "N-1")),
+        ("xidel_like", "group", ("100", "N-1")),
+        ("xidel_like", "sort", ("100", "N-1")),
+    ])
+    @pytest.mark.parametrize("item_cap", ["100", "N-1", "N+100", "5000"])
+    def test_item_cap_dnf_pattern(self, confusion_path, confusion_pdf,
+                                  engine, query, dies_at, item_cap):
+        # Fig. 12's pattern, scaled to N objects: the streaming engine
+        # dies only where a clause holds its input (group holds all N,
+        # sort the matches), the naive one wherever the input exceeds
+        # the cap.
+        n = len(confusion_pdf)
+        cap = {"100": 100, "N-1": n - 1, "N+100": n + 100, "5000": 5000}[item_cap]
+        run = getattr(local_single_thread, engine)
+        text = getattr(Q, f"jsoniq_{query}")(confusion_path)
+        if item_cap in dies_at:
+            with pytest.raises(MaterializationCapExceeded):
+                run(text, item_cap=cap)
+        else:
+            run(text, item_cap=cap)
+
     def test_harness_reports_dnf(self, confusion_path):
         from repro.workloads.harness import measure
 

@@ -12,29 +12,20 @@ from repro.core import Rumble, RumbleConfig
 from repro.core.flwor.flwor_iterator import FLWORIterator
 
 
-def activate(spark) -> None:
-    """Make ``spark`` the calling thread's active session. The active
-    session is per thread, and the engine runs on Spark only where one
-    is active."""
-    spark._jvm.org.apache.spark.sql.classic.SparkSession.setActiveSession(
-        spark._jsparkSession
-    )
-
-
-def run_within(engine: Rumble, query: str, seconds: float = 120):
-    """``engine.run(query)`` on another thread, failing the test instead
-    of hanging if the query does not finish within ``seconds``."""
+def on_fresh_thread(call, seconds: float = 120):
+    """``call()`` on a new thread, which has no active SparkSession,
+    failing the test instead of hanging if it does not return within
+    ``seconds``."""
     out = {}
 
     def run():
-        activate(engine.spark)
-        out["items"] = engine.run(query)
+        out["result"] = call()
 
     t = threading.Thread(target=run, daemon=True)
     t.start()
     t.join(seconds)
-    assert not t.is_alive(), f"query still running after {seconds} s"
-    return out["items"]
+    assert not t.is_alive(), f"call still running after {seconds} s"
+    return out["result"]
 
 
 _EVAL_NODE = re.compile(r"(?:ArrowEvalPython|BatchEvalPython) \[(.*)\], \[")
@@ -90,6 +81,13 @@ class TestDataFrameRouting:
     def test_force_local_disables_df(self, spark):
         eng = Rumble(spark, RumbleConfig(force_local=True))
         assert not df_backed(eng, "for $x in parallelize((1, 2)) return $x")
+
+    def test_run_rdd_on_fresh_thread_uses_spark(self, rumble):
+        # The active session is per thread; the engine activates its own.
+        rdd = on_fresh_thread(
+            lambda: rumble.run_rdd("for $x in parallelize((1, 2)) return $x")
+        )
+        assert rdd is not None and sorted(rdd.collect()) == [1, 2]
 
 
 class TestClausesOnDataFrames:
@@ -222,10 +220,9 @@ class TestClausesOnDataFrames:
     def test_order_by_empty_stream_df(self, rumble):
         # The type codes are observed on the materializing job; an empty
         # tuple stream must still report them instead of blocking.
-        got = run_within(
-            rumble,
-            "for $x in parallelize(1 to 10) where $x gt 100 order by $x return $x",
-        )
+        got = on_fresh_thread(lambda: rumble.run(
+            "for $x in parallelize(1 to 10) where $x gt 100 order by $x return $x"
+        ))
         assert got == []
 
     def test_consecutive_order_bys_match_local(self, rumble, local_engine):
@@ -334,7 +331,6 @@ class TestOrderByMaterialization:
         results, errors = {}, []
 
         def work(i):
-            activate(spark)
             eng = Rumble(spark)
             try:
                 for j in range(2):
