@@ -45,10 +45,6 @@ LocalTuple = dict  # var name -> sequence of items
 class ClauseIterator:
     """Base of all clause runtime iterators."""
 
-    def bound_vars(self) -> list[str]:
-        """Variables this clause introduces into the tuple stream."""
-        return []
-
     def exprs(self) -> list[RuntimeIterator]:
         """The expressions this clause evaluates, in source order."""
         return []
@@ -76,9 +72,6 @@ class ForClauseIterator(ClauseIterator):
         self.expr = expr
         self.allowing_empty = allowing_empty
         self.position_var = position_var
-
-    def bound_vars(self) -> list[str]:
-        return [self.var] + ([self.position_var] if self.position_var else [])
 
     def exprs(self) -> list[RuntimeIterator]:
         return [self.expr]
@@ -176,9 +169,6 @@ class LetClauseIterator(ClauseIterator):
         self.var = var
         self.expr = expr
 
-    def bound_vars(self) -> list[str]:
-        return [self.var]
-
     def exprs(self) -> list[RuntimeIterator]:
         return [self.expr]
 
@@ -256,9 +246,6 @@ class GroupByClauseIterator(ClauseIterator):
                  aggregations: dict[str, str] | None = None):
         self.keys = keys
         self.aggregations = aggregations or {}
-
-    def bound_vars(self) -> list[str]:
-        return [v for v, e in self.keys if e is not None]
 
     def exprs(self) -> list[RuntimeIterator]:
         return [e for _, e in self.keys if e is not None]
@@ -457,9 +444,6 @@ class CountClauseIterator(ClauseIterator):
 
     def __init__(self, var: str):
         self.var = var
-
-    def bound_vars(self) -> list[str]:
-        return [self.var]
 
     def apply_local(self, tuples, outer_ctx):
         for i, tup in enumerate(tuples, start=1):

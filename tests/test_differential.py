@@ -7,6 +7,7 @@ import json
 import pytest
 
 from repro.core import Rumble, RumbleConfig
+from repro.jsoniq.errors import NonAtomicKeyError, TypeError_
 
 # Each case is a query template with {src} as the for-source. The local
 # run uses the inline sequence; the Spark run wraps it in parallelize().
@@ -50,6 +51,17 @@ QUERIES = [
     "for $o in {src} group by $g := $o.g group by $n := 1 return count($o)",
     # An earlier group key may be empty: count() of it is 0, not 1.
     "for $o in {src} group by $v := $o.v group by $n := 1 return count($v)",
+    # A row-local tail (for/let/where after the last group by, order by
+    # or count) runs in the return clause's pass over the prefix frame.
+    "for $o in {src} group by $k := $o.g let $n := count($o) "
+    "where $n gt 1 for $x in $o.v return ($k, $x)",
+    "for $o in {src} count $c where $c mod 2 eq 0 let $d := $c * 10 return ($d, $o.g)",
+    # Row-local clauses before a group by still run on the DataFrame.
+    "for $o in {src} for $m in $o.w[] let $t := $o.t where $m gt 7 "
+    "group by $t return ($t, count($m))",
+    # A tail after a non-initial `for ... allowing empty`.
+    "for $o in {src} for $m allowing empty in $o.w[] let $e := empty($m) "
+    "where $e or $m gt 7 return ($o.g, $e)",
 ]
 
 
@@ -76,21 +88,28 @@ def test_local_vs_dataframe(template, spark, local_eng):
 
 
 @pytest.mark.parametrize(
-    "template",
+    "template, error",
     [
-        "for $o in {src} order by $o.w return $o",     # array sort key
-        "for $o in {src} group by $k := ($o.g, $o.t) return $k",  # multi-item key
+        ("for $o in {src} order by $o.w return $o", NonAtomicKeyError),  # array sort key
+        # multi-item key
+        ("for $o in {src} group by $k := ($o.g, $o.t) return $k", NonAtomicKeyError),
+        # raised in a row-local tail, with and without a prefix frame
+        ("for $o in {src} group by $k := $o.g where $o + 1 gt 0 return $k", TypeError_),
+        ("for $o in {src} order by $o.g let $x := $o.v + $o return $x", TypeError_),
+        ("for $o in {src} where $o.w + 1 gt 0 return $o", TypeError_),
     ],
-    ids=["order-nonatomic", "group-multi-item"],
+    ids=["order-nonatomic", "group-multi-item", "tail-after-group",
+         "tail-after-order", "tail-only"],
 )
-def test_error_parity(template, spark, local_eng):
-    """Both paths raise the same error class for illegal keys."""
-    from repro.jsoniq.errors import NonAtomicKeyError
-
+def test_error_parity(template, error, spark, local_eng):
+    """Both paths raise the same error class for illegal keys and
+    operands. A Spark-side error reaches the caller wrapped, with the
+    class named in the worker's traceback."""
     q_local = template.format(src=SRC)
     q_spark = template.format(src=f"parallelize({SRC})")
     with pytest.raises(Exception) as e_local:
         local_eng.run(q_local)
-    assert isinstance(e_local.value, NonAtomicKeyError)
-    with pytest.raises(Exception):
+    assert type(e_local.value) is error
+    with pytest.raises(Exception) as e_spark:
         Rumble(spark).run(q_spark)
+    assert error.__name__ in str(e_spark.value)

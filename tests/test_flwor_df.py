@@ -2,6 +2,7 @@
 stream flows through Spark SQL; results must match the local path."""
 import contextlib
 import io
+import json
 import re
 import sys
 import threading
@@ -297,6 +298,61 @@ class TestClausesOnDataFrames:
         )
         key = lambda v: (type(v).__name__, str(v))  # noqa: E731
         assert sorted(got, key=key) == sorted([1, "1", True], key=key)
+
+
+class TestReturnPassTail:
+    """The for/let/where clauses after the last group by, order by or
+    count run in the return clause's pass (§4.10); without such a
+    stream clause no tuple-stream DataFrame is built."""
+
+    def test_tail_after_order_by_keeps_order(self, rumble, local_engine):
+        src = '({"v": 2}, {}, {"v": 5}, {"v": null}, {"v": 1}, {"v": 4})'
+        q = "for $o in {} order by $o.v descending where exists($o.v) return $o.v"
+        got = rumble.run(q.format(f"parallelize({src}, 3)"))
+        assert got == local_engine.run(q.format(src)) == [5, 4, 2, 1, None]
+
+    def test_no_stream_clause_builds_no_dataframe(self, rumble, tmp_path):
+        p = tmp_path / "v.json"
+        p.write_text("".join(f'{{"v": {i}}}\n' for i in range(40)))
+        rdd = rumble.run_rdd(
+            f'for $c in json-file("{p}") let $v := $c.v where $v ge 5 return $v'
+        )
+        lineage = rdd.toDebugString().decode()
+        assert "javaToPython" not in lineage and "SQLExecutionRDD" not in lineage
+        assert sorted(rdd.collect()) == list(range(5, 40))
+
+    def test_json_file_partitions_are_kept(self, rumble, tmp_path):
+        p = tmp_path / "v.json"
+        p.write_text("".join(f'{{"v": {i}}}\n' for i in range(40)))
+        rdd = rumble.run_rdd(f'for $c in json-file("{p}", 3) where $c.v mod 2 eq 0 return $c')
+        assert rdd.getNumPartitions() == 3
+        assert rdd.count() == 20
+
+    def test_malformed_line_raises_without_stream_clause(self, rumble, local_engine, tmp_path):
+        # "1, 2" is not one JSON value. Parsed per line, it fails on both
+        # paths instead of binding $x to two items on Spark.
+        from py4j.protocol import Py4JJavaError
+
+        p = tmp_path / "bad.json"
+        p.write_text('{"a": 1}\n1, 2\n')
+        q = f'for $x in json-file("{p}") return $x'
+        with pytest.raises(json.JSONDecodeError):
+            local_engine.run(q)
+        with pytest.raises(Py4JJavaError, match="JSONDecodeError"):
+            rumble.run(q)
+
+    @pytest.mark.parametrize(
+        "query, expected",
+        [
+            # empty tail, single-item return variable: counted in the JVM
+            ("count(for $x in parallelize(1 to 10) order by $x return $x)", 10),
+            ("count(for $x in parallelize(1 to 10) order by $x where $x gt 3 return $x)", 7),
+            ("count(for $x in parallelize(1 to 10) where $x gt 3 return ($x, $x))", 14),
+            ("count(for $x in parallelize(1 to 10) group by $k := $x mod 3 return $x)", 10),
+        ],
+    )
+    def test_count_of_flwor(self, rumble, query, expected):
+        assert rumble.run(query) == [expected]
 
 
 class TestOrderByMaterialization:
