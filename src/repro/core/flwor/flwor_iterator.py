@@ -41,6 +41,8 @@ STREAM_CLAUSES = (GroupByClauseIterator, OrderByClauseIterator, CountClauseItera
 class FLWORIterator(RuntimeIterator):
     """Runtime iterator of a whole FLWOR expression."""
 
+    is_source = True
+
     def __init__(self, clauses: list[ClauseIterator], return_expr: RuntimeIterator):
         super().__init__([e for c in clauses for e in c.exprs()] + [return_expr])
         self.clauses = clauses

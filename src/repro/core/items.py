@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from typing import Any
 
 from ..jsoniq.errors import NonAtomicKeyError, TypeError_
@@ -140,6 +141,10 @@ def compare_atomics(a: Item, b: Item) -> int | None:
     return None
 
 
+_COMPARE = {"eq": operator.eq, "ne": operator.ne, "lt": operator.lt,
+            "le": operator.le, "gt": operator.gt, "ge": operator.ge}
+
+
 def value_compare(op: str, a_seq: Sequence, b_seq: Sequence) -> Sequence:
     """JSONiq value comparison: empty operand propagates to empty;
     singleton atomics compare; ``eq``/``ne`` across incompatible types
@@ -149,25 +154,20 @@ def value_compare(op: str, a_seq: Sequence, b_seq: Sequence) -> Sequence:
     if len(a_seq) > 1 or len(b_seq) > 1:
         raise TypeError_(f"comparison '{op}' requires singleton sequences")
     a, b = a_seq[0], b_seq[0]
-    if not is_atomic(a) or not is_atomic(b):
+    if isinstance(a, (dict, list)) or isinstance(b, (dict, list)):
         raise TypeError_(f"comparison '{op}' on non-atomic item")
-    c = compare_atomics(a, b)
+    if type(a) is type(b) and a is not None:
+        # Two atomics of one type: compare_atomics' answer, inline.
+        c = (a > b) - (a < b)
+    else:
+        c = compare_atomics(a, b)
     if c is None:
         if op == "eq":
             return [False]
         if op == "ne":
             return [True]
         raise TypeError_(f"cannot compare {kind(a)} with {kind(b)} using '{op}'")
-    return [
-        {
-            "eq": c == 0,
-            "ne": c != 0,
-            "lt": c < 0,
-            "le": c <= 0,
-            "gt": c > 0,
-            "ge": c >= 0,
-        }[op]
-    ]
+    return [_COMPARE[op](c, 0)]
 
 
 # --------------------------------------------------------------------------

@@ -3,35 +3,45 @@
 Expression runtime iterators return *items* and expose two APIs between
 which the engine switches seamlessly:
 
-* **local execution** — the pull-based ``open() / has_next() /
-  next_item() / reset() / close()`` protocol of §5.5; implemented by
-  subclasses as the ``_iterate_local`` generator.
+* **local execution** — one ``ctx -> list`` evaluator per iterator,
+  built once per tree and pass (per partition on executors, per query
+  on the driver) and called by :meth:`materialize`. Most nodes
+  implement :meth:`_compile`, a closure that calls its children's
+  closures directly, with literal operands folded at build time.
+  *Sequence sources* (``is_source``: ``json-file()``, ``parallelize()``,
+  a FLWOR, ``to``) keep a streaming ``_iterate_local`` generator, so a
+  ``for`` clause, ``count()`` or the pull-based ``open() / has_next() /
+  next_item() / reset() / close()`` protocol of §5.5 never holds their
+  whole sequence; on any other node the pull API iterates the list.
 * **RDD execution** — ``supports_rdd()`` / ``get_rdd()`` of §5.6;
   subclasses that can produce their sequence as an RDD of items
   override both.
 
-If a consumer drives the local API of an iterator whose sequence *is*
-available as an RDD, the base class transparently collects the RDD up
-to the configured materialization cap and streams the materialized
-items (§5.5). Conversely, aggregating iterators (``count()``...) check
+Only a node with a source below it can be RDD-backed, so only its
+evaluator checks ``supports_rdd`` per call and, when the sequence *is*
+an RDD, collects it up to the configured materialization cap (§5.5).
+Conversely, aggregating iterators (``count()``...) check
 ``supports_rdd`` on their children and run Spark actions instead of
 streaming (§5.5 last paragraph).
 
-Iterators are pure picklable objects: they never hold a SparkSession.
-``get_rdd`` fetches the active session at call time (driver only); on
-executors — where closures carrying nested iterators are evaluated via
-the local API, because "Spark jobs do not nest" (§5.6) —
-``supports_rdd`` reports False and evaluation stays local.
+Iterators are pure picklable objects: they never hold a SparkSession,
+and the evaluator is left out of the pickled state. ``get_rdd`` fetches
+the active session at call time (driver only); on executors — where
+closures carrying nested iterators are evaluated via the local API,
+because "Spark jobs do not nest" (§5.6) — ``supports_rdd`` reports
+False and evaluation stays local.
 """
 from __future__ import annotations
 
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional
 
 from ...jsoniq.errors import RumbleError
 from ..dynamic_context import DynamicContext
 from ..items import Item, Sequence
 
 _NOTHING = object()
+
+Evaluator = Callable[[DynamicContext], Sequence]
 
 
 def active_spark():
@@ -47,15 +57,21 @@ def active_spark():
 class RuntimeIterator:
     """Base of all expression runtime iterators."""
 
-    #: subclasses that implement get_rdd set this to True and refine
-    #: :meth:`supports_rdd`.
-    _rdd_capable = False
+    #: Sequence sources set this: their sequence may be an RDD, or too
+    #: long to hold, so they stream through ``_iterate_local``.
+    is_source = False
 
     def __init__(self, children: list["RuntimeIterator"] | None = None):
         self.children: list[RuntimeIterator] = children or []
         self._gen: Optional[Iterator[Item]] = None
         self._lookahead: Item = _NOTHING
         self._opened = False
+        self._eval: Optional[Evaluator] = None
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state["_eval"] = None
+        return state
 
     # ------------------------------------------------------------------
     # Local pull API (§5.5)
@@ -64,7 +80,7 @@ class RuntimeIterator:
         if self._opened:
             raise RumbleError(f"{type(self).__name__} opened twice without close")
         self._opened = True
-        self._gen = self._iterate(ctx)
+        self._gen = self.iter_items(ctx)
         self._advance()
 
     def has_next(self) -> bool:
@@ -84,8 +100,9 @@ class RuntimeIterator:
         self.open(ctx)
 
     def close(self) -> None:
-        if self._gen is not None:
-            self._gen.close()
+        close = getattr(self._gen, "close", None)
+        if close is not None:
+            close()
         self._gen = None
         self._lookahead = _NOTHING
         self._opened = False
@@ -101,22 +118,52 @@ class RuntimeIterator:
             self._lookahead = _NOTHING
 
     # ------------------------------------------------------------------
-    # Convenience: full local materialization of this iterator's
-    # sequence under ``ctx``.
+    # Evaluation: the one local entry point of every consumer
     # ------------------------------------------------------------------
     def materialize(self, ctx: DynamicContext) -> Sequence:
-        # Hot path: consume the generator directly instead of driving
-        # the pull protocol (open/has_next/next_item cost ~4x as much
-        # per item; this method runs once per row inside clause UDFs).
-        if self._opened:
-            self.close()
-        return list(self._iterate(ctx))
+        """This iterator's whole sequence under ``ctx``. The list may be
+        a variable's bound sequence itself: callers do not mutate it."""
+        return (self._eval or self.evaluator())(ctx)
 
     def iter_items(self, ctx: DynamicContext) -> Iterator[Item]:
-        """Direct generator over this iterator's sequence — the cheap
-        equivalent of open()/next_item() for internal consumers. The
-        RDD-materialization switch of §5.5 still applies."""
-        return self._iterate(ctx)
+        """An iterator over this iterator's sequence: a source streams
+        it, any other node iterates its evaluator's list. The §5.5
+        RDD-materialization switch still applies."""
+        if self.is_source and not self.supports_rdd(ctx):
+            return self._iterate_local(ctx)
+        return iter(self.materialize(ctx))
+
+    def evaluator(self) -> Evaluator:
+        """The ``ctx -> list`` closure of this iterator, built on first
+        use and kept until the tree is pickled."""
+        if self._eval is None:
+            self._eval = self._build_evaluator()
+        return self._eval
+
+    def _build_evaluator(self) -> Evaluator:
+        local = self._compile()
+        if not self.is_source and not self._has_source():
+            return local  # never RDD-backed
+
+        def evaluate(ctx: DynamicContext) -> Sequence:
+            if self.supports_rdd(ctx):
+                return self._collect_capped(ctx)
+            return local(ctx)
+
+        return evaluate
+
+    def _has_source(self) -> bool:
+        """Whether a sequence source lies below this node."""
+        return any(c.is_source or c._has_source() for c in self.children)
+
+    def _compile(self) -> Evaluator:
+        """The local evaluation closure. A source lists what its
+        ``_iterate_local`` generator yields; every other node overrides
+        this."""
+        return lambda ctx: list(self._iterate_local(ctx))
+
+    def _iterate_local(self, ctx: DynamicContext) -> Iterator[Item]:
+        raise NotImplementedError(type(self).__name__)
 
     # ------------------------------------------------------------------
     # RDD API (§5.6)
@@ -130,23 +177,15 @@ class RuntimeIterator:
     def get_rdd(self, ctx: DynamicContext):
         raise RumbleError(f"{type(self).__name__} does not support RDD execution")
 
-    # ------------------------------------------------------------------
-    # Seamless switch: local iteration over an RDD-capable iterator
-    # collects the RDD, capped (§5.5).
-    # ------------------------------------------------------------------
-    def _iterate(self, ctx: DynamicContext) -> Iterator[Item]:
-        if self.supports_rdd(ctx):
-            cap = ctx.config.materialization_cap
-            items = self.get_rdd(ctx).take(cap + 1)
-            if len(items) > cap:
-                ctx.config.on_materialization_cap(cap)
-                items = items[:cap]
-            yield from items
-        else:
-            yield from self._iterate_local(ctx)
-
-    def _iterate_local(self, ctx: DynamicContext) -> Iterator[Item]:
-        raise NotImplementedError(type(self).__name__)
+    def _collect_capped(self, ctx: DynamicContext) -> Sequence:
+        """Seamless switch: local consumption of an RDD-backed sequence
+        collects the RDD, capped (§5.5)."""
+        cap = ctx.config.materialization_cap
+        items = self.get_rdd(ctx).take(cap + 1)
+        if len(items) > cap:
+            ctx.config.on_materialization_cap(cap)
+            items = items[:cap]
+        return items
 
     # ------------------------------------------------------------------
     # Introspection (tests / explain output)

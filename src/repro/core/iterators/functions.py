@@ -1,25 +1,27 @@
 """Builtin function library (paper §2.3, §5.7).
 
 Each function is a small implementation taking its argument iterators
-and the dynamic context. Aggregations (``count``, ``sum``, ...) follow
-§5.5: when the argument sequence is physically an RDD, they invoke the
-corresponding Spark *action* on it instead of streaming items to the
-driver — the result is a local singleton but "the user does not see
-the difference". ``distinct-values`` keeps its output distributed: it
-maps to the RDD ``distinct`` transformation.
+and the dynamic context and returning its result sequence as a list.
+Aggregations (``count``, ``sum``, ...) follow §5.5: when the argument
+sequence is physically an RDD, they invoke the corresponding Spark
+*action* on it instead of streaming items to the driver — the result
+is a local singleton but "the user does not see the difference".
+``distinct-values`` keeps its output distributed: it maps to the RDD
+``distinct`` transformation.
 """
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterator
 
 from ...jsoniq.errors import DynamicError, StaticError, TypeError_
 from ..dynamic_context import DynamicContext
 from ..items import Item, effective_boolean_value, is_atomic, is_number, kind
-from .base import RuntimeIterator
+from .base import Evaluator, RuntimeIterator
 from .operators import atomic_to_string
 
 # registry: name -> (min_args, max_args, impl)
-# impl(args: list[RuntimeIterator], ctx) -> Iterator[Item]
+# impl(args: list[RuntimeIterator], ctx) -> list[Item]
 _REGISTRY: dict[str, tuple[int, int, Callable]] = {}
 
 
@@ -48,9 +50,10 @@ class FunctionCallIterator(RuntimeIterator):
         self.name = name
         validate_call(name, len(args))
 
-    def _iterate_local(self, ctx: DynamicContext) -> Iterator[Item]:
+    def _compile(self) -> Evaluator:
         impl = _REGISTRY[self.name][2]
-        yield from impl(self.children, ctx)
+        args = self.children
+        return lambda ctx: impl(args, ctx)
 
     # distinct-values keeps RDD form (§5.6); everything else is local.
     def supports_rdd(self, ctx: DynamicContext) -> bool:
@@ -88,12 +91,11 @@ def _fn_count(args, ctx):
         # FLWOR children expose rdd_count, which can count the tuple
         # stream in the JVM without a per-row return evaluation (§5.5).
         rdd_count = getattr(child, "rdd_count", None)
-        yield rdd_count(ctx) if rdd_count is not None else child.get_rdd(ctx).count()
-        return
+        return [rdd_count(ctx) if rdd_count is not None else child.get_rdd(ctx).count()]
     n = 0
     for _ in _stream(child, ctx):
         n += 1
-    yield n
+    return [n]
 
 
 def _numeric_agg(child, ctx, op: str):
@@ -156,19 +158,14 @@ def _fn_sum(args, ctx):
     r = _numeric_agg(args[0], ctx, "sum")
     if r is None:
         # zero value: second argument, default integer 0
-        if len(args) == 2:
-            yield from args[1].materialize(ctx)
-        else:
-            yield 0
-        return
-    yield r
+        return args[1].materialize(ctx) if len(args) == 2 else [0]
+    return [r]
 
 
 @register("avg", 1, 1)
 def _fn_avg(args, ctx):
     r = _numeric_agg(args[0], ctx, "avg")
-    if r is not None:
-        yield r
+    return [] if r is None else [r]
 
 
 @register("min", 1, 1)
@@ -177,8 +174,7 @@ def _fn_min(args, ctx):
         r = _numeric_agg(args[0], ctx, "min")
     except ValueError:  # empty RDD reduce
         r = None
-    if r is not None:
-        yield r
+    return [] if r is None else [r]
 
 
 @register("max", 1, 1)
@@ -187,8 +183,7 @@ def _fn_max(args, ctx):
         r = _numeric_agg(args[0], ctx, "max")
     except ValueError:
         r = None
-    if r is not None:
-        yield r
+    return [] if r is None else [r]
 
 
 # ---------------------------------------------------------------------------
@@ -198,31 +193,29 @@ def _fn_max(args, ctx):
 @register("empty", 1, 1)
 def _fn_empty(args, ctx):
     for _ in _stream(args[0], ctx):
-        yield False
-        return
-    yield True
+        return [False]
+    return [True]
 
 
 @register("exists", 1, 1)
 def _fn_exists(args, ctx):
     for _ in _stream(args[0], ctx):
-        yield True
-        return
-    yield False
+        return [True]
+    return [False]
 
 
 @register("head", 1, 1)
 def _fn_head(args, ctx):
     for item in _stream(args[0], ctx):
-        yield item
-        return
+        return [item]
+    return []
 
 
 @register("tail", 1, 1)
 def _fn_tail(args, ctx):
     it = _stream(args[0], ctx)
     next(it, None)
-    yield from it
+    return list(it)
 
 
 @register("subsequence", 2, 3)
@@ -231,28 +224,32 @@ def _fn_subsequence(args, ctx):
     length = _single_number(args[2], ctx, "subsequence length") if len(args) == 3 else None
     lo = int(round(start))
     hi = None if length is None else lo + int(round(length))
+    out = []
     pos = 0
     for item in _stream(args[0], ctx):
         pos += 1
         if pos >= lo and (hi is None or pos < hi):
-            yield item
+            out.append(item)
         elif hi is not None and pos >= hi:
-            return
+            break
+    return out
 
 
 @register("distinct-values", 1, 1)
 def _fn_distinct_values(args, ctx):
     seen: set = set()
+    out = []
     for item in _stream(args[0], ctx):
         _require_atomic(item)
         if item not in seen:
             seen.add(item)
-            yield item
+            out.append(item)
+    return out
 
 
 @register("reverse", 1, 1)
 def _fn_reverse(args, ctx):
-    yield from reversed(args[0].materialize(ctx))
+    return args[0].materialize(ctx)[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -263,35 +260,37 @@ def _fn_reverse(args, ctx):
 def _fn_size(args, ctx):
     seq = args[0].materialize(ctx)
     if not seq:
-        return
+        return []
     if len(seq) != 1 or not isinstance(seq[0], list):
         raise TypeError_("size() requires a single array")
-    yield len(seq[0])
+    return [len(seq[0])]
 
 
 @register("keys", 1, 1)
 def _fn_keys(args, ctx):
-    seen: set[str] = set()
+    seen: dict[str, None] = {}
     for item in _stream(args[0], ctx):
         if isinstance(item, dict):
-            for k in item:
-                if k not in seen:
-                    seen.add(k)
-                    yield k
+            seen.update(dict.fromkeys(item))
+    return list(seen)
 
 
 @register("values", 1, 1)
 def _fn_values(args, ctx):
+    out = []
     for item in _stream(args[0], ctx):
         if isinstance(item, dict):
-            yield from item.values()
+            out.extend(item.values())
+    return out
 
 
 @register("members", 1, 1)
 def _fn_members(args, ctx):
+    out = []
     for item in _stream(args[0], ctx):
         if isinstance(item, list):
-            yield from item
+            out.extend(item)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -309,28 +308,26 @@ def _single_number(args0, ctx, what: str) -> float:
 def _fn_string(args, ctx):
     seq = args[0].materialize(ctx)
     if not seq:
-        yield ""
-        return
+        return [""]
     if len(seq) > 1:
         raise TypeError_("string() requires a singleton")
-    yield atomic_to_string(seq[0])
+    return [atomic_to_string(seq[0])]
 
 
 @register("integer", 1, 1)
 def _fn_integer(args, ctx):
     seq = args[0].materialize(ctx)
     if not seq:
-        return
+        return []
     item = seq[0] if len(seq) == 1 else None
     if len(seq) > 1:
         raise TypeError_("integer() requires a singleton")
     try:
         if isinstance(item, bool):
-            yield int(item)
-        elif is_number(item) or isinstance(item, str):
-            yield int(float(item)) if not isinstance(item, int) else item
-        else:
-            raise TypeError_(f"cannot cast {kind(item)} to integer")
+            return [int(item)]
+        if is_number(item) or isinstance(item, str):
+            return [int(float(item)) if not isinstance(item, int) else item]
+        raise TypeError_(f"cannot cast {kind(item)} to integer")
     except ValueError as exc:
         raise DynamicError(f"cannot cast {item!r} to integer") from exc
 
@@ -339,31 +336,28 @@ def _fn_integer(args, ctx):
 def _fn_number(args, ctx):
     seq = args[0].materialize(ctx)
     if not seq:
-        return
+        return []
     if len(seq) > 1:
         raise TypeError_("number() requires a singleton")
     item = seq[0]
+    # Booleans (an int subclass), numbers and strings cast; a string
+    # that is no number is NaN.
+    if not isinstance(item, (int, float, str)):
+        raise TypeError_(f"cannot cast {kind(item)} to number")
     try:
-        if isinstance(item, bool):
-            yield float(item)
-        elif is_number(item):
-            yield float(item)
-        elif isinstance(item, str):
-            yield float(item)
-        else:
-            raise TypeError_(f"cannot cast {kind(item)} to number")
+        return [float(item)]
     except ValueError:
-        yield float("nan")
+        return [float("nan")]
 
 
 @register("boolean", 1, 1)
 def _fn_boolean(args, ctx):
-    yield effective_boolean_value(args[0].materialize(ctx))
+    return [effective_boolean_value(args[0].materialize(ctx))]
 
 
 @register("not", 1, 1)
 def _fn_not(args, ctx):
-    yield not effective_boolean_value(args[0].materialize(ctx))
+    return [not effective_boolean_value(args[0].materialize(ctx))]
 
 
 # ---------------------------------------------------------------------------
@@ -384,19 +378,19 @@ def _single_string(args0, ctx, what: str, *, empty_ok: bool = True) -> str | Non
 @register("string-length", 1, 1)
 def _fn_string_length(args, ctx):
     s = _single_string(args[0], ctx, "string-length() argument")
-    yield len(s) if s is not None else 0
+    return [len(s) if s is not None else 0]
 
 
 @register("lower-case", 1, 1)
 def _fn_lower(args, ctx):
     s = _single_string(args[0], ctx, "lower-case() argument")
-    yield (s or "").lower()
+    return [(s or "").lower()]
 
 
 @register("upper-case", 1, 1)
 def _fn_upper(args, ctx):
     s = _single_string(args[0], ctx, "upper-case() argument")
-    yield (s or "").upper()
+    return [(s or "").upper()]
 
 
 @register("substring", 2, 3)
@@ -405,30 +399,29 @@ def _fn_substring(args, ctx):
     start = int(round(_single_number(args[1], ctx, "substring start")))
     if len(args) == 3:
         length = int(round(_single_number(args[2], ctx, "substring length")))
-        yield s[max(start - 1, 0) : max(start - 1 + length, 0)]
-    else:
-        yield s[max(start - 1, 0) :]
+        return [s[max(start - 1, 0) : max(start - 1 + length, 0)]]
+    return [s[max(start - 1, 0) :]]
 
 
 @register("contains", 2, 2)
 def _fn_contains(args, ctx):
     a = _single_string(args[0], ctx, "contains() haystack") or ""
     b = _single_string(args[1], ctx, "contains() needle") or ""
-    yield b in a
+    return [b in a]
 
 
 @register("starts-with", 2, 2)
 def _fn_starts_with(args, ctx):
     a = _single_string(args[0], ctx, "starts-with() haystack") or ""
     b = _single_string(args[1], ctx, "starts-with() needle") or ""
-    yield a.startswith(b)
+    return [a.startswith(b)]
 
 
 @register("ends-with", 2, 2)
 def _fn_ends_with(args, ctx):
     a = _single_string(args[0], ctx, "ends-with() haystack") or ""
     b = _single_string(args[1], ctx, "ends-with() needle") or ""
-    yield a.endswith(b)
+    return [a.endswith(b)]
 
 
 @register("concat", 2, 16)
@@ -437,7 +430,7 @@ def _fn_concat(args, ctx):
     for a in args:
         seq = a.materialize(ctx)
         parts.append("" if not seq else atomic_to_string(seq[0]))
-    yield "".join(parts)
+    return ["".join(parts)]
 
 
 @register("string-join", 1, 2)
@@ -445,7 +438,7 @@ def _fn_string_join(args, ctx):
     sep = ""
     if len(args) == 2:
         sep = _single_string(args[1], ctx, "string-join() separator") or ""
-    yield sep.join(atomic_to_string(i) for i in _stream(args[0], ctx))
+    return [sep.join(map(atomic_to_string, _stream(args[0], ctx)))]
 
 
 # ---------------------------------------------------------------------------
@@ -455,15 +448,14 @@ def _fn_string_join(args, ctx):
 @register("abs", 1, 1)
 def _fn_abs(args, ctx):
     seq = args[0].materialize(ctx)
-    if seq:
-        yield abs(_num_or_error(seq[0]))
+    return [abs(_num_or_error(seq[0]))] if seq else []
 
 
 @register("round", 1, 2)
 def _fn_round(args, ctx):
     seq = args[0].materialize(ctx)
     if not seq:
-        return
+        return []
     digits = int(_single_number(args[1], ctx, "round precision")) if len(args) == 2 else 0
     x = _num_or_error(seq[0])
     # XPath rounds ties toward positive infinity: round(2.5)=3,
@@ -475,22 +467,16 @@ def _fn_round(args, ctx):
     d = decimal.Decimal(str(x)).quantize(
         decimal.Decimal(1).scaleb(-digits), rounding=rounding
     )
-    yield int(d) if digits <= 0 else float(d)
+    return [int(d) if digits <= 0 else float(d)]
 
 
 @register("floor", 1, 1)
 def _fn_floor(args, ctx):
     seq = args[0].materialize(ctx)
-    if seq:
-        import math
-
-        yield math.floor(_num_or_error(seq[0]))
+    return [math.floor(_num_or_error(seq[0]))] if seq else []
 
 
 @register("ceiling", 1, 1)
 def _fn_ceiling(args, ctx):
     seq = args[0].materialize(ctx)
-    if seq:
-        import math
-
-        yield math.ceil(_num_or_error(seq[0]))
+    return [math.ceil(_num_or_error(seq[0]))] if seq else []

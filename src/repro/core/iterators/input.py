@@ -47,6 +47,8 @@ def _wrap_lines(lines) -> Iterator[str]:
 class JsonFileIterator(RuntimeIterator):
     """``json-file(path[, partitions])`` — JSON-Lines source."""
 
+    is_source = True
+
     def __init__(self, path_iter: RuntimeIterator,
                  partitions_iter: RuntimeIterator | None = None):
         super().__init__([path_iter] + ([partitions_iter] if partitions_iter else []))
@@ -107,6 +109,8 @@ class JsonFileIterator(RuntimeIterator):
 
 class ParallelizeIterator(RuntimeIterator):
     """``parallelize(expr[, num_slices])`` — local sequence → RDD."""
+
+    is_source = True
 
     def __init__(self, expr: RuntimeIterator,
                  slices_iter: RuntimeIterator | None = None):

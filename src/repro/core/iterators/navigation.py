@@ -8,12 +8,11 @@ runtime iterators, evaluated on executors via the local API (§5.6).
 """
 from __future__ import annotations
 
-from typing import Iterator
-
 from ...jsoniq.errors import DynamicError, TypeError_
 from ..dynamic_context import DynamicContext
 from ..items import Item, effective_boolean_value, is_number
-from .base import RuntimeIterator
+from .base import Evaluator, RuntimeIterator
+from .basic import literal_value
 
 
 def _lookup_one(item: Item, key: str):
@@ -37,11 +36,20 @@ class ObjectLookupIterator(RuntimeIterator):
             raise TypeError_("object lookup key must be a single string")
         return seq[0]
 
-    def _iterate_local(self, ctx: DynamicContext) -> Iterator[Item]:
-        key = self._key_string(ctx)
-        for item in self.target.iter_items(ctx):
-            if isinstance(item, dict) and key in item:
-                yield item[key]
+    def _compile(self) -> Evaluator:
+        target = self.target.evaluator()
+        folded = literal_value(self.key, str)
+        key_string = self._key_string
+
+        def evaluate(ctx: DynamicContext):
+            key = folded or key_string(ctx)
+            out = []
+            for item in target(ctx):
+                if isinstance(item, dict) and key in item:
+                    out.append(item[key])
+            return out
+
+        return evaluate
 
     def supports_rdd(self, ctx: DynamicContext) -> bool:
         return self.target.supports_rdd(ctx)
@@ -58,10 +66,17 @@ class ArrayUnboxIterator(RuntimeIterator):
         super().__init__([target])
         self.target = target
 
-    def _iterate_local(self, ctx: DynamicContext) -> Iterator[Item]:
-        for item in self.target.iter_items(ctx):
-            if isinstance(item, list):
-                yield from item
+    def _compile(self) -> Evaluator:
+        target = self.target.evaluator()
+
+        def evaluate(ctx: DynamicContext):
+            out = []
+            for item in target(ctx):
+                if isinstance(item, list):
+                    out.extend(item)
+            return out
+
+        return evaluate
 
     def supports_rdd(self, ctx: DynamicContext) -> bool:
         return self.target.supports_rdd(ctx)
@@ -88,13 +103,21 @@ class ArrayLookupIterator(RuntimeIterator):
             raise TypeError_("array lookup index must be a single number")
         return int(seq[0])
 
-    def _iterate_local(self, ctx: DynamicContext) -> Iterator[Item]:
-        i = self._index_int(ctx)
-        if i is None:
-            return
-        for item in self.target.iter_items(ctx):
-            if isinstance(item, list) and 1 <= i <= len(item):
-                yield item[i - 1]
+    def _compile(self) -> Evaluator:
+        target = self.target.evaluator()
+        folded = literal_value(self.index, int)
+        index_int = self._index_int
+
+        def evaluate(ctx: DynamicContext):
+            i = folded or index_int(ctx)
+            out = []
+            if i is not None:
+                for item in target(ctx):
+                    if isinstance(item, list) and 1 <= i <= len(item):
+                        out.append(item[i - 1])
+            return out
+
+        return evaluate
 
     def supports_rdd(self, ctx: DynamicContext) -> bool:
         return self.target.supports_rdd(ctx)
@@ -128,20 +151,23 @@ class PredicateIterator(RuntimeIterator):
         self.pred = pred
         self.positional_literal = positional_literal
 
-    @staticmethod
-    def _keep(pred: RuntimeIterator, ctx: DynamicContext, item: Item, pos: int) -> bool:
-        inner = ctx.with_context_item(item, pos)
-        result = pred.materialize(inner)
-        if len(result) == 1 and is_number(result[0]):
-            return pos == int(result[0])
-        return effective_boolean_value(result)
+    def _compile(self) -> Evaluator:
+        target = self.target.evaluator()
+        pred = self.pred.evaluator()
 
-    def _iterate_local(self, ctx: DynamicContext) -> Iterator[Item]:
-        pos = 0
-        for item in self.target.iter_items(ctx):
-            pos += 1
-            if self._keep(self.pred, ctx, item, pos):
-                yield item
+        def evaluate(ctx: DynamicContext):
+            out = []
+            for pos, item in enumerate(target(ctx), 1):
+                result = pred(ctx.with_context_item(item, pos))
+                if len(result) == 1 and is_number(result[0]):
+                    keep = pos == int(result[0])
+                else:
+                    keep = effective_boolean_value(result)
+                if keep:
+                    out.append(item)
+            return out
+
+        return evaluate
 
     def supports_rdd(self, ctx: DynamicContext) -> bool:
         return self.target.supports_rdd(ctx)

@@ -64,6 +64,30 @@ QUERIES = [
     "where $e or $m gt 7 return ($o.g, $e)",
 ]
 
+# One expression per kind of compiled iterator. Each runs in the return
+# clause of a FLWOR without a stream clause (the tail pass over the
+# item RDD) and in a `let` UDF before a `group by` (a prefix clause
+# UDF over the tuple-stream DataFrame).
+NODE_EXPRS = [
+    # arithmetic, idiv/mod with negative operands, empty operands
+    "($o.v[$$ ge 0] * 2 + 1, $o.v[$$ ge 0] idiv 2, (0 - $o.v[$$ ge 0]) idiv 3, "
+    "-$o.v[$$ ge 0] mod 3, $o.v[$$ ge 0] div 4, $o.nope + 1, 2 * $o.nope)",
+    'if ($o.v[$$ ge 2]) then "big" else if (exists($o.v)) then $o.v else ()',
+    '($o.g eq "a" and $o.v gt 1, $o.g eq "c" or exists($o.w), '
+    'not $o.t eq "b", not(exists($o.v)))',
+    '$o.g || "-" || $o.v || $o.nope',
+    "([ $o.w[] ], [ $o.g, $o.t ][[2]], $o.w[[2]], [ ], [ $o.nope ])",
+    # predicates over $$ and by numeric position
+    "(($o.g, $o.t, $o.v)[2], ($o.w[], 0)[$$ gt 7], ($o.w[], $o.v)[1 + 1])",
+    "(some $m in $o.w[] satisfies $m gt 7, every $m in $o.w[] satisfies $m gt 7)",
+    "for $m in ($o.w[], $o.v[$$ ge 0]) where $m gt 1 return $m * 10",
+    # an empty value becomes null
+    '{{"g": $o.g, "v": $o.v, "w": $o.w[[1]], $o.t: $o.nope}}',
+]
+QUERIES += [f"for $o in {{src}} return {e}" for e in NODE_EXPRS]
+QUERIES += [f"for $o in {{src}} let $x := {e} group by $g := $o.g return $x"
+            for e in NODE_EXPRS]
+
 
 def canonical(items):
     return sorted(json.dumps(i, sort_keys=True) for i in items)
@@ -97,9 +121,14 @@ def test_local_vs_dataframe(template, spark, local_eng):
         ("for $o in {src} group by $k := $o.g where $o + 1 gt 0 return $k", TypeError_),
         ("for $o in {src} order by $o.g let $x := $o.v + $o return $x", TypeError_),
         ("for $o in {src} where $o.w + 1 gt 0 return $o", TypeError_),
+        # raised by compiled nodes in a tail without a prefix frame
+        ('for $o in {src} return {{"v": ($o.g, $o.t)}}', TypeError_),
+        ("for $o in {src} let $x := $o.g * 2 return $x", TypeError_),
+        ("for $o in {src} where $o.g lt 1 return $o", TypeError_),
     ],
     ids=["order-nonatomic", "group-multi-item", "tail-after-group",
-         "tail-after-order", "tail-only"],
+         "tail-after-order", "tail-only", "tail-object-value-of-two",
+         "tail-arithmetic-on-string", "tail-lt-across-families"],
 )
 def test_error_parity(template, error, spark, local_eng):
     """Both paths raise the same error class for illegal keys and

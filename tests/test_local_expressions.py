@@ -228,6 +228,53 @@ class TestIteratorProtocol:
         with pytest.raises(RumbleError):
             it.open(ctx)
 
+    @pytest.mark.parametrize("query", [
+        '{"a": 1 + 1, "b": (), "c": [1, 2], "d": 2 lt 3}',
+        "1 lt 2",
+        '(1 eq 1, "a" gt "b", () ge 1)',
+    ])
+    def test_pull_matches_materialize(self, local_engine, query):
+        # The pull API over a compiled node iterates its evaluator's list.
+        it = local_engine.compile(query)
+        ctx = local_engine._ctx()
+        expected = it.materialize(ctx)
+
+        def pull():
+            out = []
+            while it.has_next():
+                out.append(it.next_item())
+            return out
+
+        it.open(ctx)
+        first = pull()
+        it.reset(ctx)
+        second = pull()
+        it.close()
+        assert first == second == expected
+
+    def test_json_file_streams(self, local_engine, tmp_path):
+        # A source pulls lazily: opening it parses line 1 only, and the
+        # malformed line 2 raises when next_item advances onto it.
+        import json
+
+        p = tmp_path / "bad.json"
+        p.write_text('{"a": 1}\n{not json\n')
+        it = local_engine.compile(f'json-file("{p}")')
+        it.open(local_engine._ctx())
+        assert it.has_next()
+        with pytest.raises(json.JSONDecodeError):
+            it.next_item()
+        it.close()
+
+    def test_built_evaluator_is_not_pickled(self, local_engine):
+        from pyspark import cloudpickle
+
+        q = 'for $x in (1, 2) let $y := {"a": $x + 1} where $x gt 1 return $y.a'
+        used = local_engine.compile(q)
+        assert used.materialize(local_engine._ctx()) == [3]
+        fresh = local_engine.compile(q)
+        assert len(cloudpickle.dumps(used)) == len(cloudpickle.dumps(fresh))
+
     def test_explain_tree(self, local_engine):
         tree = local_engine.explain("for $x in (1,2) return $x + 1")
         assert "FLWORIterator" in tree and "ArithmeticIterator" in tree
