@@ -1,13 +1,19 @@
 """FLWOR clause runtime iterators (paper §4.4–§4.10, §5.8).
 
-Each clause consumes a tuple stream and produces a tuple stream, via
-two interchangeable implementations:
+Each clause consumes a tuple stream and produces a tuple stream.
+``apply_local(tuples, outer_ctx)`` defines every clause's meaning by
+pull-based local execution (§5.5): tuples are plain
+``dict[var, sequence]``.
 
-* ``apply_local(tuples, outer_ctx)`` — pull-based local execution
-  (§5.5): tuples are plain ``dict[var, sequence]``.
-* ``apply_df(tframe, outer_ctx)`` — DataFrame execution (§4.3): the
-  tuple stream is a :class:`~repro.core.flwor.frame.TupleFrame` and
-  clause semantics are Spark SQL operations.
+On DataFrames (§4.3) the tuple stream is a
+:class:`~repro.core.flwor.frame.TupleFrame`. The row-local clauses
+(``for``, ``let``, ``where``) have no DataFrame code of their own: the
+run of them before a stream clause (``group by``, ``order by``,
+``count``) is that clause's ``before``, and
+:func:`~repro.core.flwor.frame.local_pass` runs it through
+``apply_local`` in one Arrow pass, together with the stream clause's
+key encodings. ``apply_df(tframe, outer_ctx, before)`` of a stream
+clause then expresses the clause itself as Spark SQL operations.
 
 The initial ``for`` clause additionally knows how to *start* a tuple
 stream — from an RDD of items when its expression supports the RDD API
@@ -18,7 +24,7 @@ from __future__ import annotations
 from typing import Iterable, Iterator
 
 from pyspark.sql import Observation, functions as F
-from pyspark.sql.types import ArrayType, BooleanType, StringType, StructField, StructType
+from pyspark.sql.types import StringType, StructField, StructType
 
 from ..dynamic_context import DynamicContext
 from ..items import (
@@ -29,15 +35,7 @@ from ..items import (
 )
 from ..iterators.base import RuntimeIterator, active_spark
 from ..query_scope import checkpoint
-from .frame import (
-    KEY_STRUCT,
-    TupleFrame,
-    clause_udf,
-    explode_cells,
-    key_cells,
-    merge_sequences_udf,
-    tuple_context,
-)
+from .frame import TupleFrame, local_pass, tuple_context
 
 LocalTuple = dict  # var name -> sequence of items
 
@@ -49,18 +47,19 @@ class ClauseIterator:
         """The expressions this clause evaluates, in source order."""
         return []
 
-    def supports_df(self) -> bool:
-        """Whether this clause has a DataFrame implementation. Positional
-        ``for`` variables don't (§4.4: "not supported yet, the count
-        clause offers this feature"); everything else does."""
-        return True
+    def binds(self) -> dict[str, bool]:
+        """The variables a row-local clause binds, each mapped to whether
+        it is bound to a single item."""
+        return {}
 
     def apply_local(self, tuples: Iterable[LocalTuple],
                     outer_ctx: DynamicContext) -> Iterator[LocalTuple]:
         raise NotImplementedError
 
-    def apply_df(self, tframe: TupleFrame, outer_ctx: DynamicContext) -> TupleFrame:
-        raise NotImplementedError
+    def apply_df(self, tframe: TupleFrame, outer_ctx: DynamicContext,
+                 before=()) -> TupleFrame:
+        """Run the row-local clauses ``before`` and this one in one pass."""
+        return local_pass(tframe, [*before, self], outer_ctx)[0]
 
 
 class ForClauseIterator(ClauseIterator):
@@ -76,8 +75,11 @@ class ForClauseIterator(ClauseIterator):
     def exprs(self) -> list[RuntimeIterator]:
         return [self.expr]
 
-    def supports_df(self) -> bool:
-        return self.position_var is None
+    def binds(self):
+        out = {self.var: not self.allowing_empty}
+        if self.position_var:
+            out[self.position_var] = True
+        return out
 
     # -- start of the FLWOR pipeline ------------------------------------
     def starts_rdd(self, outer_ctx: DynamicContext) -> bool:
@@ -138,29 +140,6 @@ class ForClauseIterator(ClauseIterator):
                     out[self.position_var] = [0]
                 yield out
 
-    def apply_df(self, tframe, outer_ctx):
-        # Extended projection + EXPLODE (§4.4). The UDF evaluates the
-        # for-expression per incoming tuple and returns one serialized
-        # single-item sequence per binding.
-        udf = clause_udf(self.expr, tframe.var_order(), outer_ctx,
-                         explode_cells, ArrayType(StringType()))
-        tmp = tframe.fresh_col(self.var + "_all")
-        new = tframe.fresh_col(self.var)
-        df = tframe.df.withColumn(tmp, udf(*tframe.cols()))
-        if self.allowing_empty:
-            df = df.withColumn(new, F.explode_outer(tmp)).drop(tmp)
-            df = df.withColumn(new, F.coalesce(F.col(new), F.lit(dumps_seq([]))))
-        else:
-            df = df.withColumn(new, F.explode(tmp)).drop(tmp)
-        columns = dict(tframe.columns)
-        columns[self.var] = new
-        single = set(tframe.single_item)
-        if self.allowing_empty:
-            single.discard(self.var)
-        else:
-            single.add(self.var)
-        return TupleFrame(df, columns, single, tframe._fresh)
-
 
 class LetClauseIterator(ClauseIterator):
     """``let $v := e`` — extended projection without EXPLODE (§4.5)."""
@@ -172,6 +151,9 @@ class LetClauseIterator(ClauseIterator):
     def exprs(self) -> list[RuntimeIterator]:
         return [self.expr]
 
+    def binds(self):
+        return {self.var: False}
+
     def start_local(self, outer_ctx: DynamicContext) -> Iterator[LocalTuple]:
         # A FLWOR starting with `let` runs locally (§4.5).
         yield from self.apply_local(iter([{}]), outer_ctx)
@@ -182,22 +164,6 @@ class LetClauseIterator(ClauseIterator):
             out = dict(tup)
             out[self.var] = self.expr.materialize(ctx)
             yield out
-
-    def apply_df(self, tframe, outer_ctx):
-        udf = clause_udf(self.expr, tframe.var_order(), outer_ctx,
-                         dumps_seq, StringType())
-        new = tframe.fresh_col(self.var)
-        df = tframe.df.withColumn(new, udf(*tframe.cols()))
-        columns = dict(tframe.columns)
-        old = columns.get(self.var)
-        columns[self.var] = new
-        if old is not None:
-            # Variable redeclaration: the prior binding becomes a hidden
-            # column and is dropped from the outgoing DataFrame (§4.5).
-            df = df.drop(old)
-        single = set(tframe.single_item)
-        single.discard(self.var)
-        return TupleFrame(df, columns, single, tframe._fresh)
 
 
 class WhereClauseIterator(ClauseIterator):
@@ -214,16 +180,6 @@ class WhereClauseIterator(ClauseIterator):
             ctx = tuple_context(outer_ctx, tup)
             if effective_boolean_value(self.expr.materialize(ctx)):
                 yield tup
-
-    def apply_df(self, tframe, outer_ctx):
-        udf = clause_udf(self.expr, tframe.var_order(), outer_ctx,
-                         effective_boolean_value, BooleanType())
-        return TupleFrame(
-            tframe.df.filter(udf(*tframe.cols())),
-            dict(tframe.columns),
-            set(tframe.single_item),
-            tframe._fresh,
-        )
 
 
 class GroupByClauseIterator(ClauseIterator):
@@ -304,47 +260,31 @@ class GroupByClauseIterator(ClauseIterator):
             yield out
 
     # -- DataFrame ---------------------------------------------------------
-    def apply_df(self, tframe, outer_ctx):
-        df = tframe.df
-        columns = dict(tframe.columns)
-        key_vars = [v for v, _ in self.keys]
-
-        # 1. Bind := keys (extended projection, like let).
-        work = TupleFrame(df, columns, set(tframe.single_item), tframe._fresh)
-        for var, expr in self.keys:
-            if expr is not None:
-                work = LetClauseIterator(var, expr).apply_df(work, outer_ctx)
-        df, columns = work.df, work.columns
-
-        # 2. Typed encoding columns per key (§4.7), each from its own column.
+    def apply_df(self, tframe, outer_ctx, before=()):
         from ..iterators.basic import VarRefIterator
 
-        key_structs = {}
-        for var in key_vars:
-            udf = clause_udf(VarRefIterator(var), [var], outer_ctx,
-                             key_cells(empty_greatest=False, clause="group-by key"),
-                             KEY_STRUCT)
-            kcol = work.fresh_col(var + "_key")
-            df = df.withColumn(kcol, udf(F.col(columns[var])))
-            key_structs[var] = kcol
+        # 1. One pass runs `before`, binds the := keys like lets and
+        # encodes every key into the typed columns of §4.7.
+        key_vars = [v for v, _ in self.keys]
+        lets = [LetClauseIterator(v, e) for v, e in self.keys if e is not None]
+        work, key_cols = local_pass(
+            tframe, [*before, *lets], outer_ctx,
+            keys=[(VarRefIterator(v), False, "group-by key") for v in key_vars])
 
-        group_cols = []
-        for var in key_vars:
-            k = key_structs[var]
-            group_cols += [F.col(f"{k}.code"), F.col(f"{k}.s"), F.col(f"{k}.d")]
+        group_cols = [F.col(f"{k}.{f}") for k in key_cols for f in ("code", "s", "d")]
 
-        # 3. Aggregate.
+        # 2. Aggregate. A materialized variable's cells are merged in the
+        # JVM: the JSON arrays' bodies, the empty ones dropped, joined by
+        # commas (the paper's SEQUENCE() UDAF, §4.7).
         aggs = []
         out_columns: dict[str, str] = {}
         single_out: set[str] = set()
-        for var in key_vars:
+        for var, k in zip(key_vars, key_cols):
             canon = work.fresh_col(var + "_canon")
-            aggs.append(F.first(F.col(f"{key_structs[var]}.canon")).alias(canon))
+            aggs.append(F.first(F.col(f"{k}.canon")).alias(canon))
             out_columns[var] = canon
             single_out.add(var)
-        merge = merge_sequences_udf()
-        post: list[tuple[str, str]] = []  # (col, mode) for post-processing
-        for var, col in columns.items():
+        for var, col in work.columns.items():
             if var in key_vars:
                 continue
             mode = self._mode(var)
@@ -357,13 +297,13 @@ class GroupByClauseIterator(ClauseIterator):
                 )
                 single_out.add(var)
             else:
-                aggs.append(F.collect_list(F.col(col)).alias(out))
-                post.append((out, "merge"))
+                bodies = F.transform(F.collect_list(F.col(col)),
+                                     lambda c: c.substr(F.lit(2), F.length(c) - 2))
+                aggs.append(F.concat(
+                    F.lit("["), F.array_join(F.filter(bodies, lambda b: b != ""), ","),
+                    F.lit("]")).alias(out))
             out_columns[var] = out
-        grouped = df.groupBy(*group_cols).agg(*aggs)
-        for out, _ in post:
-            grouped = grouped.withColumn(out, merge(F.col(out)))
-        grouped = grouped.select(*[out_columns[v] for v in out_columns])
+        grouped = work.df.groupBy(*group_cols).agg(*aggs).select(*out_columns.values())
         return TupleFrame(grouped, out_columns, single_out, work._fresh)
 
 
@@ -403,37 +343,31 @@ class OrderByClauseIterator(ClauseIterator):
             yield tup
 
     # -- DataFrame --------------------------------------------------------------
-    def apply_df(self, tframe, outer_ctx):
-        df = tframe.df
-        key_cols = []
-        for i, (expr, asc, eg) in enumerate(self.specs):
-            udf = clause_udf(expr, tframe.var_order(), outer_ctx,
-                             key_cells(empty_greatest=eg, clause="order-by key"),
-                             KEY_STRUCT)
-            kcol = tframe.fresh_col(f"sort{i}")
-            df = df.withColumn(kcol, udf(*tframe.cols()))
-            key_cols.append((kcol, asc))
+    def apply_df(self, tframe, outer_ctx, before=()):
+        tframe, key_cols = local_pass(
+            tframe, before, outer_ctx,
+            keys=[(expr, eg, "order-by key") for expr, _, eg in self.specs])
 
         # First pass (§4.8): one job evaluates the keys, checkpoints the
         # keyed frame and observes the type codes under each key.
         # Incompatible types throw before sorting. The sort reads the
-        # checkpoint, so no upstream clause UDF runs twice.
+        # checkpoint, so the segment pass does not run twice.
         codes = Observation()
-        df = checkpoint(df.observe(
+        df = checkpoint(tframe.df.observe(
             codes,
-            *[F.collect_set(F.col(f"{k}.code")).alias(f"cs{i}") for i, (k, _) in enumerate(key_cols)],
+            *[F.collect_set(F.col(f"{k}.code")).alias(f"cs{i}") for i, k in enumerate(key_cols)],
         ))
         seen = codes.get
         for i in range(len(key_cols)):
             check_orderable_types(set(seen[f"cs{i}"]), f"order-by key #{i + 1}")
 
         order = []
-        for kcol, asc in key_cols:
+        for kcol, (_, asc, _) in zip(key_cols, self.specs):
             for f in ("code", "s", "d"):
                 c = F.col(f"{kcol}.{f}")
                 order.append(c.asc() if asc else c.desc())
-        df = df.orderBy(*order).drop(*[k for k, _ in key_cols])
-        return TupleFrame(df, dict(tframe.columns), set(tframe.single_item), tframe._fresh)
+        tframe.df = df.orderBy(*order).drop(*key_cols)
+        return tframe
 
 
 class CountClauseIterator(ClauseIterator):
@@ -451,7 +385,9 @@ class CountClauseIterator(ClauseIterator):
             out[self.var] = [i]
             yield out
 
-    def apply_df(self, tframe, outer_ctx):
+    def apply_df(self, tframe, outer_ctx, before=()):
+        if before:
+            tframe = local_pass(tframe, before, outer_ctx)[0]
         new = tframe.fresh_col(self.var)
         schema = StructType(
             list(tframe.df.schema.fields) + [StructField(new, StringType(), False)]

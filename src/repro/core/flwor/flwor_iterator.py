@@ -7,14 +7,16 @@ clauses exchange tuple streams. This iterator glues the two worlds:
   start from an RDD (§5.8). The FLWOR splits after its last *stream*
   clause (``group by``, ``order by`` or ``count``), the clauses that
   need the whole tuple stream. Up to that split the tuple stream flows
-  through the clauses as a :class:`TupleFrame`. The row-local tail
-  after it (``for``, ``let`` and ``where``) runs through the clauses'
-  local API in the return clause's pass, which maps each tuple to its
-  output items (the §4.10 ``flatMap``, one ``mapPartitions`` per
-  partition). Without a stream clause no DataFrame is built: the pass
-  runs over the initial ``for``'s item RDD. Either way the result is
-  an RDD of items that parent expressions consume without
-  materialization.
+  through the clauses as a :class:`TupleFrame`: each stream clause
+  runs the row-local clauses before it and its own keys in one Arrow
+  pass (``frame.local_pass``), then its Spark SQL operation. The
+  row-local tail after it (``for``, ``let`` and ``where``) runs through
+  the clauses' local API in the return clause's pass, which maps each
+  tuple to its output items (the §4.10 ``flatMap``, one
+  ``mapPartitions`` per partition). Without a stream clause no
+  DataFrame is built: the pass runs over the initial ``for``'s item
+  RDD. Either way the result is an RDD of items that parent
+  expressions consume without materialization.
 * **Local execution** — otherwise the tuple stream is a generator of
   plain dict tuples pulled through the same clause objects (§5.5).
 """
@@ -70,11 +72,7 @@ class FLWORIterator(RuntimeIterator):
         if ctx.config.force_local or active_spark() is None:
             return False
         first = self.clauses[0]
-        return (
-            isinstance(first, ForClauseIterator)
-            and first.starts_rdd(ctx)
-            and all(c.supports_df() for c in self.clauses[1:])
-        )
+        return isinstance(first, ForClauseIterator) and first.starts_rdd(ctx)
 
     def _stream_end(self) -> int:
         """One past the last stream clause; 0 when there is none."""
@@ -83,10 +81,16 @@ class FLWORIterator(RuntimeIterator):
 
     def _build_tframe(self, ctx: DynamicContext) -> TupleFrame:
         """The tuple-stream DataFrame of the clauses up to the last stream
-        clause."""
+        clause. Each stream clause runs the row-local clauses before it
+        in its own pass."""
         tframe = self.clauses[0].start_df(ctx)
+        before: list[ClauseIterator] = []
         for clause in self.clauses[1:self._stream_end()]:
-            tframe = clause.apply_df(tframe, ctx)
+            if isinstance(clause, STREAM_CLAUSES):
+                tframe = clause.apply_df(tframe, ctx, before)
+                before = []
+            else:
+                before.append(clause)
         return tframe
 
     def rdd_count(self, ctx: DynamicContext) -> int:

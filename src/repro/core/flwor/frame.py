@@ -14,23 +14,21 @@ per tuple (``for``-bound) — the precondition for the §4.7 COUNT
 push-down.
 
 This module is the one tuple-cell codec. :func:`tuple_context` builds
-the dynamic context of one tuple, for local clauses, clause UDFs and
-the return clause alike. :func:`clause_udf` builds the paper's
-``EVALUATE_EXPRESSION`` UDFs: each deserializes the variable cells it
-reads into that context, evaluates a nested runtime iterator via its
-local API (executors never nest Spark jobs, §5.6), and finishes the
-result per clause (serialize, explode, boolean, key encoding).
+the dynamic context of one tuple, for the local clauses and the return
+clause alike. :func:`local_pass` is the paper's ``EVALUATE_EXPRESSION``
+UDF for a whole segment: one Arrow pass decodes each row's cells once,
+pushes the tuple through the row-local clauses' local API (executors
+never nest Spark jobs, §5.6), and writes the surviving cells plus the
+§4.7 typed encoding of the following stream clause's keys.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
-import pandas as pd
-
-from pyspark.sql import DataFrame, functions as F
+import pyarrow as pa
+from pyspark.sql import DataFrame
+from pyspark.sql.pandas.types import to_arrow_schema
 from pyspark.sql.types import (
-    DataType,
     DoubleType,
     IntegerType,
     StringType,
@@ -39,7 +37,7 @@ from pyspark.sql.types import (
 )
 
 from ..dynamic_context import DynamicContext
-from ..items import Sequence, dumps_seq, encode_key, loads_seq
+from ..items import dumps_seq, encode_key, loads_seq
 
 #: Schema of one encoded grouping/ordering key (§4.7): the three native
 #: columns the paper prescribes, plus the serialized original sequence
@@ -73,9 +71,6 @@ class TupleFrame:
     def var_order(self) -> list[str]:
         return list(self.columns)
 
-    def cols(self) -> list:
-        return [F.col(self.columns[v]) for v in self.var_order()]
-
 
 def tuple_context(outer_ctx: DynamicContext, bindings) -> DynamicContext:
     """The dynamic context a clause expression sees in one tuple: the
@@ -86,61 +81,51 @@ def tuple_context(outer_ctx: DynamicContext, bindings) -> DynamicContext:
     return DynamicContext(variables=variables, config=outer_ctx.config)
 
 
-# Every clause evaluator is an Arrow-batched pandas UDF: the per-row
-# work (deserialize cells → dynamic context → evaluate the nested
-# iterator → finish) is unavoidable in any Rumble-style engine, but
-# batching removes Spark's per-row pickle dispatch — the PySpark
-# counterpart of the paper's serialized-Java-closure efficiency (§5.6).
+def local_pass(tframe: TupleFrame, clauses, outer_ctx: DynamicContext,
+               keys=()) -> tuple[TupleFrame, list[str]]:
+    """Run the row-local ``clauses`` over ``tframe`` in one
+    ``mapInArrow`` pass. Each row's cells are decoded once and the tuple
+    goes through the clauses' ``apply_local``; every outgoing tuple
+    writes one cell per variable in scope and one ``KEY_STRUCT`` per
+    ``(expr, empty_greatest, label)`` in ``keys``, the §4.7 encoding of
+    ``expr`` in that tuple. Returns the new frame and the key columns."""
+    out = TupleFrame(tframe.df, dict(tframe.columns), set(tframe.single_item), tframe._fresh)
+    for clause in clauses:
+        for var, single in clause.binds().items():
+            if var not in out.columns:
+                out.columns[var] = out.fresh_col(var)
+            if single:
+                out.single_item.add(var)
+            else:
+                out.single_item.discard(var)
+    key_cols = [out.fresh_col(f"key{i}") for i in range(len(keys))]
+    schema = StructType(
+        [StructField(c, StringType(), False) for c in out.columns.values()]
+        + [StructField(k, KEY_STRUCT, False) for k in key_cols])
+    arrow_schema = to_arrow_schema(schema)
+    names, in_cols = list(tframe.columns), list(tframe.columns.values())
+    out_vars = list(out.columns)
 
-def clause_udf(expr_iter, names: list[str], outer_ctx: DynamicContext,
-               finish: Callable, return_type: DataType):
-    """The paper's ``EVALUATE_EXPRESSION`` UDF, applied to the cells of
-    the variables ``names``, in that order. Per row it evaluates
-    ``expr_iter`` in the tuple's context and returns ``finish`` of the
-    sequence; for a struct ``return_type``, ``finish`` returns a tuple."""
+    def run(batches):
+        for batch in batches:
+            cells = [batch.column(c).to_pylist() for c in in_cols]
+            tuples = (dict(zip(names, map(loads_seq, row))) for row in zip(*cells))
+            for clause in clauses:
+                tuples = clause.apply_local(tuples, outer_ctx)
+            rows = []
+            for tup in tuples:
+                row = [dumps_seq(tup[v]) for v in out_vars]
+                if keys:
+                    ctx = tuple_context(outer_ctx, tup)
+                    for expr, empty_greatest, label in keys:
+                        seq = expr.materialize(ctx)
+                        row.append((*encode_key(seq, empty_greatest=empty_greatest,
+                                                clause=label), dumps_seq(seq)))
+                rows.append(row)
+            cols = list(zip(*rows)) or [()] * len(arrow_schema)
+            yield pa.RecordBatch.from_arrays(
+                [pa.array(c, type=f.type) for c, f in zip(cols, arrow_schema)],
+                schema=arrow_schema)
 
-    # The hints make pandas_udf build a scalar UDF; a struct
-    # return_type takes a DataFrame in place of the Series.
-    def f(*cols: pd.Series) -> pd.Series:
-        out = [
-            finish(expr_iter.materialize(
-                tuple_context(outer_ctx, zip(names, map(loads_seq, cells)))))
-            for cells in zip(*cols)
-        ]
-        if isinstance(return_type, StructType):
-            return pd.DataFrame(out, columns=return_type.names)
-        return pd.Series(out)
-
-    return F.pandas_udf(f, return_type)
-
-
-def explode_cells(seq: Sequence) -> list[str]:
-    """``for`` finisher: one single-item cell per binding, ready for
-    EXPLODE (§4.4)."""
-    return [dumps_seq([item]) for item in seq]
-
-
-def key_cells(*, empty_greatest: bool, clause: str) -> Callable:
-    """Grouping/ordering key finisher: sequence → (code, s, d, canon),
-    the §4.7 typed encoding computed "in pure Java" in the paper, in
-    batched Python here (``KEY_STRUCT``)."""
-
-    def finish(seq: Sequence) -> tuple:
-        return (*encode_key(seq, empty_greatest=empty_greatest, clause=clause),
-                dumps_seq(seq))
-
-    return finish
-
-
-def merge_sequences_udf():
-    """Post-GROUP-BY merge: collect_list of serialized sequences → one
-    serialized concatenated sequence (the paper's SEQUENCE() UDAF,
-    §4.7, expressed as collect_list + merge)."""
-
-    def f(cells):
-        out = []
-        for c in cells:
-            out.extend(loads_seq(c))
-        return dumps_seq(out)
-
-    return F.udf(f, StringType())
+    out.df = tframe.df.mapInArrow(run, schema)
+    return out, key_cols

@@ -53,8 +53,8 @@ def dumps_seq(seq: Sequence) -> str:
 
 
 def loads_seq(cell: str | None) -> Sequence:
-    """Inverse of :func:`dumps_seq`; a SQL NULL cell (from explode_outer
-    of an empty binding) decodes to the empty sequence."""
+    """Inverse of :func:`dumps_seq`; a SQL NULL cell decodes to the
+    empty sequence."""
     if cell is None:
         return []
     return json.loads(cell)

@@ -62,6 +62,22 @@ QUERIES = [
     # A tail after a non-initial `for ... allowing empty`.
     "for $o in {src} for $m allowing empty in $o.w[] let $e := empty($m) "
     "where $e or $m gt 7 return ($o.g, $e)",
+    # A non-initial positional `for`, before a group by and in the tail.
+    "for $o in {src} for $m at $p in $o.w[] group by $g := $o.g "
+    "return ($g, sum($p), count($m))",
+    "for $o in {src} order by $o.v for $m at $p in $o.w[] return ($o.v, $p, $m)",
+    # Merged group-by sequences: a let that is empty for most rows, and
+    # a string that looks like the seam between two JSON arrays.
+    "for $o in {src} let $x := $o.w[][$$ gt 7] group by $g := $o.g "
+    "return ($g, count($x), sum($x))",
+    'for $o in {src} let $s := ($o.g, "],[") group by $t := $o.t '
+    'return ($t, count($s), count($s[$$ eq "],["]))',
+    # Row-local clauses fused with the stream clause after them.
+    "for $o in {src} let $k := ($o.v, 0)[1] order by $k descending return ($k, $o.g)",
+    "for $o in {src} let $o := $o.g group by $k := $o return ($k, count($o))",
+    "for $o in {src} for $m allowing empty in $o.w[] "
+    "order by $m empty greatest, $o.v return ($m, $o.v)",
+    "for $o in {src} for $m in $o.w[] let $d := $m * 2 count $c return ($c, $d)",
 ]
 
 # One expression per kind of compiled iterator. Each runs in the return
@@ -125,10 +141,17 @@ def test_local_vs_dataframe(template, spark, local_eng):
         ('for $o in {src} return {{"v": ($o.g, $o.t)}}', TypeError_),
         ("for $o in {src} let $x := $o.g * 2 return $x", TypeError_),
         ("for $o in {src} where $o.g lt 1 return $o", TypeError_),
+        # raised by a row-local clause in the pass before a stream clause
+        ("for $o in {src} where $o.g lt 1 group by $k := $o.t return $k", TypeError_),
+        ("for $o in {src} let $x := $o.g * 2 order by $o.v return $x", TypeError_),
+        ("for $o in {src} let $x := ($o.g, $o.t) group by $k := $x return $k",
+         NonAtomicKeyError),
     ],
     ids=["order-nonatomic", "group-multi-item", "tail-after-group",
          "tail-after-order", "tail-only", "tail-object-value-of-two",
-         "tail-arithmetic-on-string", "tail-lt-across-families"],
+         "tail-arithmetic-on-string", "tail-lt-across-families",
+         "segment-where-before-group", "segment-let-before-order",
+         "segment-let-two-items-as-key"],
 )
 def test_error_parity(template, error, spark, local_eng):
     """Both paths raise the same error class for illegal keys and

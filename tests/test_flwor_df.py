@@ -29,30 +29,15 @@ def on_fresh_thread(call, seconds: float = 120):
     return out["result"]
 
 
-_EVAL_NODE = re.compile(r"(?:ArrowEvalPython|BatchEvalPython) \[(.*)\], \[")
-_CALL_END = re.compile(r"\)#(\d+)")
-
-
-def udf_input_counts(df) -> list[int]:
-    """Input count of every Python UDF call in the plan of ``df``,
-    sorted. Spark chains a UDF that reads only another UDF's result into
-    one node, ``f(f(col)#1)#2``, so calls are matched by parenthesis
-    depth. A sub-plan printed twice (AQE's final and initial plan) is
-    counted once, by expression id."""
+def python_nodes(df) -> list[str]:
+    """The plan nodes of ``df`` that run Python, in plan order. ``df``
+    must not have run: AQE prints an executed plan twice."""
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf):
         df.explain()
-    calls = {}
-    for node in _EVAL_NODE.finditer(buf.getvalue()):
-        text, open_args = node.group(1), []
-        for i, ch in enumerate(text):
-            if ch == "(":
-                open_args.append(1)
-            elif ch == "," and open_args:
-                open_args[-1] += 1
-            elif ch == ")":
-                calls[_CALL_END.match(text, i).group(1)] = open_args.pop()
-    return sorted(calls.values())
+    plan = buf.getvalue()
+    assert "isFinalPlan=true" not in plan
+    return re.findall(r"\b(MapInArrow|ArrowEvalPython|BatchEvalPython)\b", plan)
 
 
 def df_backed(engine: Rumble, query: str) -> bool:
@@ -78,6 +63,15 @@ class TestDataFrameRouting:
         q = "for $x at $p in parallelize((1, 2)) return $p"
         assert not df_backed(rumble, q)
         assert rumble.run(q) == [1, 2]
+
+    def test_non_initial_positional_for_goes_df(self, rumble):
+        # A later positional `for` counts within one tuple's bindings,
+        # so it is row-local and runs in the segment pass.
+        q = ('for $o in parallelize(({"w": [7, 8]}, {"w": [9]})) '
+             "for $m at $p in $o.w[] group by $p return ($p, sum($m))")
+        assert df_backed(rumble, q)
+        got = rumble.run(q)
+        assert sorted([got[i:i + 2] for i in range(0, len(got), 2)]) == [[1, 16], [2, 8]]
 
     def test_force_local_disables_df(self, spark):
         eng = Rumble(spark, RumbleConfig(force_local=True))
@@ -280,16 +274,41 @@ class TestClausesOnDataFrames:
         )
         assert sorted(got) == [10, 20]
 
-    def test_group_key_udf_reads_only_its_column(self, rumble):
-        # The let UDF reads $o; the key UDF reads $v alone, not every
-        # in-scope column.
+    def test_group_by_segment_is_one_arrow_pass(self, rumble):
+        # The let and the key encoding run in one pass that decodes each
+        # row once; no per-clause Python UDF is left in the plan.
         it = rumble.compile(
             "for $o in parallelize(({\"v\": 1}, {\"v\": 2}, {\"v\": 1})) "
             "let $v := $o.v group by $v return count($o)"
         )
         df = it._build_tframe(rumble._ctx()).df
+        assert python_nodes(df) == ["MapInArrow"]
         assert sorted(r[0] for r in df.collect()) == ["[1]", "[2]"]
-        assert udf_input_counts(df) == [1, 1]
+
+    def test_readme_prefix_is_one_pass_per_segment(self, rumble, confusion_path,
+                                                   monkeypatch):
+        # `where` plus the group-by keys form one segment, the order-by
+        # keys another; the plan the order by checkpoints holds both.
+        from repro.core.flwor import clauses
+        from repro.core.query_scope import query_scope
+
+        plans = []
+
+        def recording(df, real=clauses.checkpoint):
+            plans.append(python_nodes(df))
+            return real(df)
+
+        monkeypatch.setattr(clauses, "checkpoint", recording)
+        it = rumble.compile(
+            f'for $i in json-file("{confusion_path}") '
+            "where $i.guess eq $i.target "
+            "group by $t := $i.target "
+            "order by count($i) descending "
+            'return {"target": $t, "n": count($i)}'
+        )
+        with query_scope():
+            it._build_tframe(rumble._ctx())
+        assert plans == [["MapInArrow", "MapInArrow"]]
 
     def test_group_key_reconstruction_types(self, rumble):
         # Keys come back with their original types (int vs string vs bool).
