@@ -59,9 +59,6 @@ class BudgetedClause(ClauseIterator):
         self.item_cap = item_cap
         self.eager = eager
 
-    def start_local(self, outer_ctx: DynamicContext):
-        return self._emit(self.clause.start_local(outer_ctx))
-
     def apply_local(self, tuples, outer_ctx):
         held = self._meter(tuples, isinstance(self.clause, _HOLDING))
         return self._emit(self.clause.apply_local(held, outer_ctx))

@@ -50,8 +50,8 @@ class DynamicContext:
 
     ``variables`` maps variable name → materialized sequence. The
     context item (``$$``) and its 1-based position are set by predicate
-    iterators. Contexts are copied on extension (bindings are small —
-    they live inside FLWOR tuples)."""
+    iterators. Contexts are copied on extension, except that a FLWOR
+    runner writes a tuple's ``let`` bindings into the tuple's copy."""
 
     variables: dict[str, Sequence] = field(default_factory=dict)
     context_item: Item = None
@@ -59,12 +59,12 @@ class DynamicContext:
     has_context_item: bool = False
     config: RumbleConfig = field(default_factory=RumbleConfig)
 
-    def bind(self, name: str, seq: Sequence) -> "DynamicContext":
-        """Return a new context with ``name`` (re)bound to ``seq``."""
-        vs = dict(self.variables)
-        vs[name] = seq
-        return DynamicContext(vs, self.context_item, self.context_position,
-                              self.has_context_item, self.config)
+    def child(self, bindings=()) -> "DynamicContext":
+        """A copy with its own variables, overridden by ``bindings``; a
+        FLWOR keeps the focus. Once per tuple, so no ``__init__`` call."""
+        ctx = object.__new__(DynamicContext)
+        ctx.__dict__.update(self.__dict__, variables={**self.variables, **dict(bindings)})
+        return ctx
 
     def with_context_item(self, item: Item, position: int | None = None) -> "DynamicContext":
         return DynamicContext(self.variables, item, position, True, self.config)

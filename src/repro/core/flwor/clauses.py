@@ -1,9 +1,9 @@
 """FLWOR clause runtime iterators (paper §4.4–§4.10, §5.8).
 
-Each clause consumes a tuple stream and produces a tuple stream.
-``apply_local(tuples, outer_ctx)`` defines every clause's meaning by
-pull-based local execution (§5.5): tuples are plain
-``dict[var, sequence]``.
+Each clause consumes a tuple stream and produces a tuple stream. The
+row-local ones (``for``, ``let``, ``where``) are defined once, over one
+dynamic context per tuple, by :func:`bind_rows`; stream clauses by
+``apply_local(tuples, outer_ctx)`` over ``dict[var, sequence]`` (§5.5).
 
 On DataFrames (§4.3) the tuple stream is a
 :class:`~repro.core.flwor.frame.TupleFrame`. The row-local clauses
@@ -16,8 +16,7 @@ key encodings. ``apply_df(tframe, outer_ctx, before)`` of a stream
 clause then expresses the clause itself as Spark SQL operations.
 
 The initial ``for`` clause additionally knows how to *start* a tuple
-stream — from an RDD of items when its expression supports the RDD API
-(creating the single-column DataFrame of §4.4), or locally otherwise.
+stream from an RDD of items (the single-column DataFrame of §4.4).
 """
 from __future__ import annotations
 
@@ -35,7 +34,7 @@ from ..items import (
 )
 from ..iterators.base import RuntimeIterator, active_spark
 from ..query_scope import checkpoint
-from .frame import TupleFrame, local_pass, tuple_context
+from .frame import KEY_FIELDS, TupleFrame, local_pass
 
 LocalTuple = dict  # var name -> sequence of items
 
@@ -54,7 +53,8 @@ class ClauseIterator:
 
     def apply_local(self, tuples: Iterable[LocalTuple],
                     outer_ctx: DynamicContext) -> Iterator[LocalTuple]:
-        raise NotImplementedError
+        """Stream clauses override this; a row-local one adapts :func:`bind_rows`."""
+        return apply_rows([self], tuples, outer_ctx)
 
     def apply_df(self, tframe: TupleFrame, outer_ctx: DynamicContext,
                  before=()) -> TupleFrame:
@@ -113,32 +113,17 @@ class ForClauseIterator(ClauseIterator):
         df = spark.createDataFrame(rows, schema=schema, verifySchema=False)
         return TupleFrame(df, {self.var: col}, single_item={self.var})
 
-    def start_local(self, outer_ctx: DynamicContext) -> Iterator[LocalTuple]:
-        yield from self.apply_local(iter([{}]), outer_ctx)
-
-    # -- as a non-initial clause -----------------------------------------
-    def apply_local(self, tuples, outer_ctx):
-        # Streams the binding sequence through the pull API (§5.5): the
-        # initial `for` over json-file() must not hold the input in
-        # memory — that streaming is exactly what lets the Zorba-like
-        # single-threaded engine run the filter query at any size
-        # while group/sort blow up (Fig. 12).
-        for tup in tuples:
-            ctx = tuple_context(outer_ctx, tup)
-            idx = 0
-            for item in self.expr.iter_items(ctx):
-                idx += 1
-                out = dict(tup)
-                out[self.var] = [item]
-                if self.position_var:
-                    out[self.position_var] = [idx]
-                yield out
-            if idx == 0 and self.allowing_empty:
-                out = dict(tup)
-                out[self.var] = []
-                if self.position_var:
-                    out[self.position_var] = [0]
-                yield out
+    def bind_each(self, ctx: DynamicContext, items) -> Iterator[DynamicContext]:
+        """One child context per item, pulled one at a time (§5.5): the
+        initial `for` over json-file() must not hold the input in memory
+        — that streaming is exactly what lets the Zorba-like engine run
+        the filter query at any size while group/sort blow up (Fig. 12)."""
+        var, pos = self.var, self.position_var
+        idx = 0
+        for idx, item in enumerate(items, 1):
+            yield ctx.child({var: [item], pos: [idx]} if pos else {var: [item]})
+        if idx == 0 and self.allowing_empty:
+            yield ctx.child({var: [], pos: [0]} if pos else {var: []})
 
 
 class LetClauseIterator(ClauseIterator):
@@ -154,17 +139,6 @@ class LetClauseIterator(ClauseIterator):
     def binds(self):
         return {self.var: False}
 
-    def start_local(self, outer_ctx: DynamicContext) -> Iterator[LocalTuple]:
-        # A FLWOR starting with `let` runs locally (§4.5).
-        yield from self.apply_local(iter([{}]), outer_ctx)
-
-    def apply_local(self, tuples, outer_ctx):
-        for tup in tuples:
-            ctx = tuple_context(outer_ctx, tup)
-            out = dict(tup)
-            out[self.var] = self.expr.materialize(ctx)
-            yield out
-
 
 class WhereClauseIterator(ClauseIterator):
     """``where e`` — selection by effective boolean value (§4.6)."""
@@ -175,11 +149,54 @@ class WhereClauseIterator(ClauseIterator):
     def exprs(self) -> list[RuntimeIterator]:
         return [self.expr]
 
-    def apply_local(self, tuples, outer_ctx):
-        for tup in tuples:
-            ctx = tuple_context(outer_ctx, tup)
-            if effective_boolean_value(self.expr.materialize(ctx)):
-                yield tup
+
+#: The clauses that map one tuple to tuples on their own.
+ROW_LOCAL = (ForClauseIterator, LetClauseIterator, WhereClauseIterator)
+_TRUE, _FALSE = [True], [False]
+
+
+def bind_rows(clauses: list[ClauseIterator]):
+    """Row-local ``clauses`` as a function from an incoming tuple's
+    context to the contexts of the tuples it becomes. ``let`` and
+    ``where`` are steps in place on that context; a ``for`` gives each
+    item a child context, so writes never leak between items. Build it
+    where it runs: it holds evaluators."""
+    split = next((i for i, c in enumerate(clauses) if isinstance(c, ForClauseIterator)),
+                 len(clauses))
+    if split < len(clauses):
+        head, fan, rest = bind_rows(clauses[:split]), clauses[split], bind_rows(clauses[split + 1:])
+
+        def fan_out(ctx: DynamicContext) -> Iterator[DynamicContext]:
+            for tup in head(ctx):
+                for child in fan.bind_each(tup, fan.expr.iter_items(tup)):
+                    yield from rest(child)
+
+        return fan_out
+    steps = [(c.var if isinstance(c, LetClauseIterator) else None, c.expr.evaluator())
+             for c in clauses]
+
+    def bind(ctx: DynamicContext) -> tuple[DynamicContext, ...]:
+        for var, evaluate in steps:
+            seq = evaluate(ctx)
+            if var is not None:
+                ctx.variables[var] = seq
+            # [True] and [False] decide without a call.
+            elif seq != _TRUE and (seq == _FALSE or not effective_boolean_value(seq)):
+                return ()
+        return (ctx,)
+
+    return bind
+
+
+def apply_rows(clauses: list[ClauseIterator], tuples: Iterable[LocalTuple],
+               outer_ctx: DynamicContext) -> Iterator[LocalTuple]:
+    """:func:`bind_rows` over dict tuples of the FLWOR's own variables."""
+    bind = bind_rows(clauses)
+    bound = [v for c in clauses for v in c.binds()]
+    for tup in tuples:
+        names = dict.fromkeys([*tup, *bound])
+        for ctx in bind(outer_ctx.child(tup)):
+            yield {v: ctx.variables[v] for v in names}
 
 
 class GroupByClauseIterator(ClauseIterator):
@@ -220,9 +237,10 @@ class GroupByClauseIterator(ClauseIterator):
         modes: dict[str, str] | None = None
         for tup in tuples:
             tup = dict(tup)
+            ctx = outer_ctx.child(tup)
             for var, expr in self.keys:
                 if expr is not None:
-                    tup[var] = expr.materialize(tuple_context(outer_ctx, tup))
+                    tup[var] = ctx.variables[var] = expr.materialize(ctx)
             if modes is None:
                 modes = {
                     v: ("key" if v in key_vars else self._mode(v)) for v in tup
@@ -271,7 +289,7 @@ class GroupByClauseIterator(ClauseIterator):
             tframe, [*before, *lets], outer_ctx,
             keys=[(VarRefIterator(v), False, "group-by key") for v in key_vars])
 
-        group_cols = [F.col(f"{k}.{f}") for k in key_cols for f in ("code", "s", "d")]
+        group_cols = [F.col(f"{k}.{f}") for k in key_cols for f in KEY_FIELDS]
 
         # 2. Aggregate. A materialized variable's cells are merged in the
         # JVM: the JSON arrays' bodies, the empty ones dropped, joined by
@@ -324,7 +342,7 @@ class OrderByClauseIterator(ClauseIterator):
         rows = []
         codes: list[set[int]] = [set() for _ in self.specs]
         for tup in tuples:
-            ctx = tuple_context(outer_ctx, tup)
+            ctx = outer_ctx.child(tup)
             keys = []
             for i, (expr, _asc, eg) in enumerate(self.specs):
                 enc = encode_key(
@@ -363,7 +381,7 @@ class OrderByClauseIterator(ClauseIterator):
 
         order = []
         for kcol, (_, asc, _) in zip(key_cols, self.specs):
-            for f in ("code", "s", "d"):
+            for f in KEY_FIELDS:
                 c = F.col(f"{kcol}.{f}")
                 order.append(c.asc() if asc else c.desc())
         tframe.df = df.orderBy(*order).drop(*key_cols)

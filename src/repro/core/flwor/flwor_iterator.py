@@ -10,34 +10,25 @@ clauses exchange tuple streams. This iterator glues the two worlds:
   through the clauses as a :class:`TupleFrame`: each stream clause
   runs the row-local clauses before it and its own keys in one Arrow
   pass (``frame.local_pass``), then its Spark SQL operation. The
-  row-local tail after it (``for``, ``let`` and ``where``) runs through
-  the clauses' local API in the return clause's pass, which maps each
-  tuple to its output items (the §4.10 ``flatMap``, one
-  ``mapPartitions`` per partition). Without a stream clause no
-  DataFrame is built: the pass runs over the initial ``for``'s item
-  RDD. Either way the result is an RDD of items that parent
+  row-local tail after it (``for``, ``let`` and ``where``) runs in the
+  return clause's pass, which maps each tuple to its output items (the
+  §4.10 ``flatMap``, one ``mapPartitions`` per partition). Without a
+  stream clause no DataFrame is built: the pass binds the initial
+  ``for``'s items. Either way the result is an RDD of items that parent
   expressions consume without materialization.
-* **Local execution** — otherwise the tuple stream is a generator of
-  plain dict tuples pulled through the same clause objects (§5.5).
+* **Local execution** — otherwise the same clauses run locally (§5.5);
+  plain dict tuples cross the stream clauses. Every runner builds one
+  dynamic context per tuple for ``clauses.bind_rows``.
 """
 from __future__ import annotations
 
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from ..dynamic_context import DynamicContext
 from ..items import Item, loads_seq
 from ..iterators.base import RuntimeIterator, active_spark
-from .clauses import (
-    ClauseIterator,
-    CountClauseIterator,
-    ForClauseIterator,
-    GroupByClauseIterator,
-    OrderByClauseIterator,
-)
-from .frame import TupleFrame, tuple_context
-
-#: Clauses that need the whole tuple stream; the rest are row-local.
-STREAM_CLAUSES = (GroupByClauseIterator, OrderByClauseIterator, CountClauseIterator)
+from .clauses import ROW_LOCAL, ClauseIterator, ForClauseIterator, apply_rows, bind_rows
+from .frame import TupleFrame
 
 
 class FLWORIterator(RuntimeIterator):
@@ -50,18 +41,17 @@ class FLWORIterator(RuntimeIterator):
         self.clauses = clauses
         self.return_expr = return_expr
 
-    def _run_tail(self, tail: list[ClauseIterator], ctx: DynamicContext):
-        """A function from a tuple stream to the return items: pushes the
-        tuples through ``tail``'s local API, then evaluates the return
-        expression per tuple. It captures no ``self``, so it ships to
-        executors as it is."""
+    def _run_tail(self, tail: list[ClauseIterator]):
+        """A function from the incoming tuples' contexts, through the
+        row-local ``tail``, to the return items. It captures no
+        ``self``, so it ships to executors as it is."""
         ret = self.return_expr
 
-        def run(tuples) -> Iterator[Item]:
-            for clause in tail:
-                tuples = clause.apply_local(tuples, ctx)
-            for tup in tuples:
-                yield from ret.materialize(tuple_context(ctx, tup))
+        def run(contexts: Iterable[DynamicContext]) -> Iterator[Item]:
+            bind, evaluate = bind_rows(tail), ret.evaluator()
+            for tup in contexts:
+                for ctx in bind(tup):
+                    yield from evaluate(ctx)
 
         return run
 
@@ -75,8 +65,8 @@ class FLWORIterator(RuntimeIterator):
         return isinstance(first, ForClauseIterator) and first.starts_rdd(ctx)
 
     def _stream_end(self) -> int:
-        """One past the last stream clause; 0 when there is none."""
-        ends = [i + 1 for i, c in enumerate(self.clauses) if isinstance(c, STREAM_CLAUSES)]
+        """One past the last stream clause (not row-local); 0 when there is none."""
+        ends = [i + 1 for i, c in enumerate(self.clauses) if not isinstance(c, ROW_LOCAL)]
         return ends[-1] if ends else 0
 
     def _build_tframe(self, ctx: DynamicContext) -> TupleFrame:
@@ -86,11 +76,11 @@ class FLWORIterator(RuntimeIterator):
         tframe = self.clauses[0].start_df(ctx)
         before: list[ClauseIterator] = []
         for clause in self.clauses[1:self._stream_end()]:
-            if isinstance(clause, STREAM_CLAUSES):
+            if isinstance(clause, ROW_LOCAL):
+                before.append(clause)
+            else:
                 tframe = clause.apply_df(tframe, ctx, before)
                 before = []
-            else:
-                before.append(clause)
         return tframe
 
     def rdd_count(self, ctx: DynamicContext) -> int:
@@ -116,25 +106,30 @@ class FLWORIterator(RuntimeIterator):
     def _return_rdd(self, ctx: DynamicContext, tframe: TupleFrame | None):
         # Return clause (§4.10) with the row-local tail: one pass per
         # partition maps each tuple to its items — one flat RDD. The
-        # tuples come from the initial `for`'s items without a prefix
-        # frame, else from the frame's rows, each decoded once.
-        first = self.clauses[0]
+        # tuple contexts come from the initial `for`'s items without a
+        # prefix frame, else from the frame's rows, each decoded once.
+        run = self._run_tail(self.clauses[self._stream_end() or 1:])
         if tframe is None:
-            var = first.var
-            tuples = first.expr.get_rdd(ctx).map(lambda item: {var: [item]})
-        else:
-            names = tframe.var_order()
-            cols = [tframe.columns[v] for v in names]
-            tuples = tframe.df.rdd.map(
-                lambda row: {v: loads_seq(row[c]) for v, c in zip(names, cols)})
-        tail = self.clauses[self._stream_end() or 1:]
-        return tuples.mapPartitions(self._run_tail(tail, ctx))
+            first = self.clauses[0]
+            return first.expr.get_rdd(ctx).mapPartitions(
+                lambda items: run(first.bind_each(ctx, items)))
+        names = list(tframe.columns)
+        rows = tframe.df.select(*[tframe.columns[v] for v in names]).rdd
+        return rows.mapPartitions(
+            lambda part: run(ctx.child(zip(names, map(loads_seq, row))) for row in part))
 
     # ------------------------------------------------------------------
     # Local path
     # ------------------------------------------------------------------
     def _iterate_local(self, ctx: DynamicContext) -> Iterator[Item]:
-        yield from self._run_tail(self.clauses[1:], ctx)(self.clauses[0].start_local(ctx))
+        tuples, before = [{}], []  # dict tuples cross each stream clause
+        for clause in self.clauses:
+            if isinstance(clause, ROW_LOCAL):
+                before.append(clause)
+                continue
+            tuples = clause.apply_local(apply_rows(before, tuples, ctx) if before else tuples, ctx)
+            before = []
+        yield from self._run_tail(before)(ctx.child(tup) for tup in tuples)
 
     def _tree_label(self) -> str:
         return f"[{', '.join(type(c).__name__ for c in self.clauses)}]"

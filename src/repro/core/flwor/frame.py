@@ -13,13 +13,12 @@ synthetic names) and tracks which variables are guaranteed single-item
 per tuple (``for``-bound) — the precondition for the §4.7 COUNT
 push-down.
 
-This module is the one tuple-cell codec. :func:`tuple_context` builds
-the dynamic context of one tuple, for the local clauses and the return
-clause alike. :func:`local_pass` is the paper's ``EVALUATE_EXPRESSION``
-UDF for a whole segment: one Arrow pass decodes each row's cells once,
-pushes the tuple through the row-local clauses' local API (executors
-never nest Spark jobs, §5.6), and writes the surviving cells plus the
-§4.7 typed encoding of the following stream clause's keys.
+This module is the one tuple-cell codec. :func:`local_pass` is the
+paper's ``EVALUATE_EXPRESSION`` UDF for a whole segment: one Arrow pass
+decodes each row's cells once into the tuple's dynamic context, runs it
+through the row-local clauses (executors never nest Spark jobs, §5.6),
+and writes the surviving cells plus the §4.7 typed encoding of the
+following stream clause's keys.
 """
 from __future__ import annotations
 
@@ -40,17 +39,19 @@ from ..dynamic_context import DynamicContext
 from ..items import dumps_seq, encode_key, loads_seq
 
 #: Schema of one encoded grouping/ordering key (§4.7): the three native
-#: columns the paper prescribes, plus the serialized original sequence
-#: ("canon") used to restore the key binding after GROUP BY — a
-#: lossless replacement for the paper's ARRAY_DISTINCT reconstruction.
+#: columns the paper prescribes, an integer residual (``items.encode_key``)
+#: and the serialized original sequence ("canon") that restores the key
+#: after GROUP BY — a lossless replacement for the paper's ARRAY_DISTINCT.
 KEY_STRUCT = StructType(
     [
         StructField("code", IntegerType(), False),
         StructField("s", StringType(), False),
         StructField("d", DoubleType(), False),
+        StructField("r", DoubleType(), False),
         StructField("canon", StringType(), False),
     ]
 )
+KEY_FIELDS = ("code", "s", "d", "r")  # what a key groups and sorts by
 
 
 @dataclass
@@ -68,27 +69,38 @@ class TupleFrame:
         safe = "".join(ch if ch.isalnum() else "_" for ch in hint)
         return f"c{self._fresh}_{safe}"
 
-    def var_order(self) -> list[str]:
-        return list(self.columns)
 
+def segment_rows(clauses, outer_ctx: DynamicContext, names: list[str],
+                 out_vars: list[str], keys):
+    """The per-row work of :func:`local_pass`: rows of ``names``' cells
+    to the rows of ``out_vars``' cells and key structs they become."""
+    from .clauses import bind_rows
 
-def tuple_context(outer_ctx: DynamicContext, bindings) -> DynamicContext:
-    """The dynamic context a clause expression sees in one tuple: the
-    outer variables, overridden by ``bindings`` (a tuple dict or
-    (name, sequence) pairs)."""
-    variables = dict(outer_ctx.variables)
-    variables.update(bindings)
-    return DynamicContext(variables=variables, config=outer_ctx.config)
+    def run(rows) -> list[list]:
+        bind = bind_rows(clauses)
+        encoders = [(expr.evaluator(), eg, label) for expr, eg, label in keys]
+        out = []
+        for cells in rows:
+            for ctx in bind(outer_ctx.child(zip(names, map(loads_seq, cells)))):
+                row = [dumps_seq(ctx.variables[v]) for v in out_vars]
+                for evaluate, empty_greatest, label in encoders:
+                    seq = evaluate(ctx)
+                    row.append((*encode_key(seq, empty_greatest=empty_greatest,
+                                            clause=label), dumps_seq(seq)))
+                out.append(row)
+        return out
+
+    return run
 
 
 def local_pass(tframe: TupleFrame, clauses, outer_ctx: DynamicContext,
                keys=()) -> tuple[TupleFrame, list[str]]:
     """Run the row-local ``clauses`` over ``tframe`` in one
     ``mapInArrow`` pass. Each row's cells are decoded once and the tuple
-    goes through the clauses' ``apply_local``; every outgoing tuple
-    writes one cell per variable in scope and one ``KEY_STRUCT`` per
-    ``(expr, empty_greatest, label)`` in ``keys``, the §4.7 encoding of
-    ``expr`` in that tuple. Returns the new frame and the key columns."""
+    goes through the clauses; every outgoing tuple writes one cell per
+    variable in scope and one ``KEY_STRUCT`` per ``(expr,
+    empty_greatest, label)`` in ``keys``, the §4.7 encoding of ``expr``
+    in that tuple. Returns the new frame and the key columns."""
     out = TupleFrame(tframe.df, dict(tframe.columns), set(tframe.single_item), tframe._fresh)
     for clause in clauses:
         for var, single in clause.binds().items():
@@ -103,25 +115,12 @@ def local_pass(tframe: TupleFrame, clauses, outer_ctx: DynamicContext,
         [StructField(c, StringType(), False) for c in out.columns.values()]
         + [StructField(k, KEY_STRUCT, False) for k in key_cols])
     arrow_schema = to_arrow_schema(schema)
-    names, in_cols = list(tframe.columns), list(tframe.columns.values())
-    out_vars = list(out.columns)
+    in_cols = list(tframe.columns.values())
+    segment = segment_rows(clauses, outer_ctx, list(tframe.columns), list(out.columns), keys)
 
     def run(batches):
         for batch in batches:
-            cells = [batch.column(c).to_pylist() for c in in_cols]
-            tuples = (dict(zip(names, map(loads_seq, row))) for row in zip(*cells))
-            for clause in clauses:
-                tuples = clause.apply_local(tuples, outer_ctx)
-            rows = []
-            for tup in tuples:
-                row = [dumps_seq(tup[v]) for v in out_vars]
-                if keys:
-                    ctx = tuple_context(outer_ctx, tup)
-                    for expr, empty_greatest, label in keys:
-                        seq = expr.materialize(ctx)
-                        row.append((*encode_key(seq, empty_greatest=empty_greatest,
-                                                clause=label), dumps_seq(seq)))
-                rows.append(row)
+            rows = segment(zip(*[batch.column(c).to_pylist() for c in in_cols]))
             cols = list(zip(*rows)) or [()] * len(arrow_schema)
             yield pa.RecordBatch.from_arrays(
                 [pa.array(c, type=f.type) for c, f in zip(cols, arrow_schema)],

@@ -47,9 +47,12 @@ Sequence = list
 # Sequence (de)serialization for DataFrame columns
 # --------------------------------------------------------------------------
 
+_ENCODER = json.JSONEncoder(separators=(",", ":"))  # json.dumps would build one per call
+
+
 def dumps_seq(seq: Sequence) -> str:
     """Serialize a sequence of items to its JSON-array column encoding."""
-    return json.dumps(seq, separators=(",", ":"))
+    return _ENCODER.encode(seq)
 
 
 def loads_seq(cell: str | None) -> Sequence:
@@ -189,28 +192,31 @@ TYPE_STRING = 5
 TYPE_NUMBER = 6
 TYPE_EMPTY_GREATEST = 7
 
-EncodedKey = tuple[int, str, float]
+EncodedKey = tuple[int, str, float, float]
 
 
 def encode_key(seq: Sequence, *, empty_greatest: bool = False, clause: str = "key") -> EncodedKey:
-    """Encode a key binding as (type code, string value, double value).
+    """Encode a key binding as (type code, string value, double value,
+    residual ``n - int(float(n))`` of an integer ``n``, which orders the
+    integers beyond 2^53 that share a double; it is exact below 2^106).
 
     Raises :class:`NonAtomicKeyError` when the binding is not a single
     atomic item or the empty sequence (§4.7/§4.8 requirement).
     """
     if not seq:
-        return (TYPE_EMPTY_GREATEST if empty_greatest else TYPE_EMPTY_LEAST, "", 0.0)
+        return (TYPE_EMPTY_GREATEST if empty_greatest else TYPE_EMPTY_LEAST, "", 0.0, 0.0)
     if len(seq) > 1:
         raise NonAtomicKeyError(f"{clause} bound to a sequence of {len(seq)} items")
     item = seq[0]
     if item is None:
-        return (TYPE_NULL, "", 0.0)
+        return (TYPE_NULL, "", 0.0, 0.0)
     if isinstance(item, bool):
-        return (TYPE_TRUE if item else TYPE_FALSE, "", 0.0)
+        return (TYPE_TRUE if item else TYPE_FALSE, "", 0.0, 0.0)
     if isinstance(item, str):
-        return (TYPE_STRING, item, 0.0)
+        return (TYPE_STRING, item, 0.0, 0.0)
     if is_number(item):
-        return (TYPE_NUMBER, "", float(item))
+        d = float(item)
+        return (TYPE_NUMBER, "", d, float(item - int(d)) if isinstance(item, int) else 0.0)
     raise NonAtomicKeyError(f"{clause} bound to a {kind(item)}")
 
 

@@ -139,7 +139,7 @@ class QuantifiedIterator(RuntimeIterator):
                 return effective_boolean_value(satisfies(ctx))
             name, src = bindings[depth]
             for item in src.iter_items(ctx):
-                if holds(ctx.bind(name, [item]), depth + 1) is some:
+                if holds(ctx.child({name: [item]}), depth + 1) is some:
                     return some
             return not some
 

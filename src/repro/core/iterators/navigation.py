@@ -12,7 +12,7 @@ from ...jsoniq.errors import DynamicError, TypeError_
 from ..dynamic_context import DynamicContext
 from ..items import Item, effective_boolean_value, is_number
 from .base import Evaluator, RuntimeIterator
-from .basic import literal_value
+from .basic import VarRefIterator, literal_value
 
 
 def _lookup_one(item: Item, key: str):
@@ -40,11 +40,13 @@ class ObjectLookupIterator(RuntimeIterator):
         target = self.target.evaluator()
         folded = literal_value(self.key, str)
         key_string = self._key_string
+        var = self.target.name if isinstance(self.target, VarRefIterator) else None
 
         def evaluate(ctx: DynamicContext):
             key = folded or key_string(ctx)
+            items = ctx.variables.get(var) if var else None  # `$v.key` in one closure
             out = []
-            for item in target(ctx):
+            for item in target(ctx) if items is None else items:
                 if isinstance(item, dict) and key in item:
                     out.append(item[key])
             return out

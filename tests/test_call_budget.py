@@ -1,20 +1,32 @@
-"""A host-noise-free guard on the per-row cost of row-local evaluation.
+"""Host-noise-free guards on the per-row cost of row-local evaluation.
 
-The Python calls made while ``FLWORIterator._run_tail`` evaluates the
-``let``/``where``/``return`` of the ``reddit-project`` benchmark query
-over fixed tuples do not depend on the machine, so they pin the
-interpretation overhead that dominates that query's time. The budget
-allows about 22 calls per input row.
+The Python calls made while a row-local runner evaluates fixed tuples do
+not depend on the machine, so they pin the interpretation overhead that
+dominates a query's time:
+
+* the return pass (``FLWORIterator._run_tail``) of the
+  ``reddit-project`` benchmark query, fed the way Spark feeds it
+  without a prefix frame: the initial ``for``'s items, each bound into
+  one tuple context (``ForClauseIterator.bind_each``);
+* the segment pass (``frame.segment_rows``, the per-row work of
+  ``frame.local_pass``) of the ``readme-small`` query: its ``where``
+  plus its group key, over encoded rows.
 """
 import sys
 
 from repro import synth_data
 from repro.core import Rumble, RumbleConfig
 from repro.core.dynamic_context import DynamicContext
+from repro.core.flwor.clauses import LetClauseIterator
+from repro.core.flwor.frame import segment_rows
+from repro.core.items import dumps_seq, encode_key
+from repro.core.iterators.basic import VarRefIterator
 
 ROWS = 200
-#: Calls measured when the budget was set (4,067), plus 10%.
-CALL_BUDGET = 4_473
+#: Calls measured when the budget was set (2,315, 11.6 per row), plus 10%.
+CALL_BUDGET = 2_546
+#: Calls measured when the budget was set (3,453, 17.3 per row), plus 10%.
+SEGMENT_CALL_BUDGET = 3_798
 
 QUERY = (
     'for $c in json-file("unused.json") '
@@ -22,6 +34,13 @@ QUERY = (
     "where $c.year ge 2014 "
     'return {"author": $c.author, "sub": $c.subreddit, '
     '"score": $s, "edited": $c.edited}'
+)
+README_QUERY = (
+    'for $i in json-file("unused.json") '
+    "where $i.guess eq $i.target "
+    "group by $t := $i.target "
+    "order by count($i) descending "
+    'return {"target": $t, "n": count($i)}'
 )
 
 
@@ -43,18 +62,43 @@ def count_calls(fn) -> int:
 
 def test_tail_call_budget():
     objs = synth_data.reddit_pandas(ROWS, seed=5)["obj"].tolist()
-    tuples = [{"c": [o]} for o in objs]
     eng = Rumble(None, RumbleConfig(force_local=True))
     flwor = eng.compile(QUERY)
-    run = flwor._run_tail(flwor.clauses[1:], DynamicContext(config=eng.config))
+    run = flwor._run_tail(flwor.clauses[1:])
+    first, outer = flwor.clauses[0], DynamicContext(config=eng.config)
     expected = [
         {"author": o["author"], "sub": o["subreddit"], "score": float(o["score"]),
          "edited": o["edited"]}
         for o in objs if o["year"] >= 2014
     ]
-    assert list(run(iter(tuples))) == expected  # also builds the evaluators
+    assert list(run(first.bind_each(outer, objs))) == expected  # also builds the evaluators
 
     out = []
-    calls = count_calls(lambda: out.extend(run(iter(tuples))))
+    calls = count_calls(lambda: out.extend(run(first.bind_each(outer, objs))))
     assert out == expected
     assert calls <= CALL_BUDGET, f"{calls / ROWS:.1f} Python calls per row"
+
+
+def test_segment_call_budget():
+    objs = synth_data.confusion_pandas(ROWS, seed=5).to_dict(orient="records")
+    eng = Rumble(None, RumbleConfig(force_local=True))
+    flwor = eng.compile(README_QUERY)
+    _, where, group = flwor.clauses[:3]
+    # The pass before the group by, as GroupByClauseIterator.apply_df
+    # builds it: the where, the := key as a let, the key's encoding.
+    lets = [LetClauseIterator(v, e) for v, e in group.keys if e is not None]
+    keys = [(VarRefIterator(v), False, "group-by key") for v, _ in group.keys]
+    run = segment_rows([where, *lets], DynamicContext(config=eng.config),
+                       ["i"], ["i", "t"], keys)
+    rows = [(dumps_seq([o]),) for o in objs]
+    expected = [
+        [dumps_seq([o]), dumps_seq([o["target"]]),
+         (*encode_key([o["target"]]), dumps_seq([o["target"]]))]
+        for o in objs if o["guess"] == o["target"]
+    ]
+    assert run(rows) == expected  # also builds the evaluators
+
+    out = []
+    calls = count_calls(lambda: out.extend(run(rows)))
+    assert out == expected
+    assert calls <= SEGMENT_CALL_BUDGET, f"{calls / ROWS:.1f} Python calls per row"

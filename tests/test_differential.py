@@ -104,6 +104,27 @@ QUERIES += [f"for $o in {{src}} return {e}" for e in NODE_EXPRS]
 QUERIES += [f"for $o in {{src}} let $x := {e} group by $g := $o.g return $x"
             for e in NODE_EXPRS]
 
+# Row-local clauses that bind a tuple's variables in place. Each runs in
+# the return pass, and again in a segment pass before a `count`.
+BINDINGS = [
+    # an outer variable shadowed after a `for`
+    ("let $z := 0 return for $o in {src} let $y := $z let $z := count($o.w[]) * 10",
+     "return [$y, $z]"),
+    # a redeclared `for` variable
+    ("for $o in {src} let $o := count($o.w[]) + 10", "return $o"),
+    # two `for`s with a `let` between them
+    ("for $o in {src} let $k := $o.g for $m in $o.w[]", "return [$k, $m]"),
+    # a `for` over a nested FLWOR that reads a variable a later `let` rebinds
+    ("for $o in {src} let $y := $o.g for $w in (for $i in (1, 2) return $y || $i) "
+     "let $y := $w", "return [$o.t, $w, $y]"),
+    # a `where` that drops a row after a `let` was applied
+    ("for $o in {src} let $n := count($o.w[]) where $n gt 0", "return [$o.g, $n]"),
+    # a return that builds a nested FLWOR over the outer tuple
+    ("for $o in {src} let $y := $o.t", "return [for $m in $o.w[] return [$y, $m]]"),
+]
+QUERIES += [f"{body} {ret}" for body, ret in BINDINGS]
+QUERIES += [f"{body} count $c {ret}" for body, ret in BINDINGS]
+
 
 def canonical(items):
     return sorted(json.dumps(i, sort_keys=True) for i in items)

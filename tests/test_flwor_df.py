@@ -310,6 +310,29 @@ class TestClausesOnDataFrames:
             it._build_tframe(rumble._ctx())
         assert plans == [["MapInArrow", "MapInArrow"]]
 
+    def test_group_by_large_integer_keys_df(self, rumble):
+        # 2^53 + 1 rounds to the same double as 2^53; 2^53.0 equals 2^53.
+        got = rumble.run(
+            "for $x in parallelize((9007199254740992, 9007199254740993, "
+            "9007199254740992.0)) group by $k := $x return count($x)"
+        )
+        assert sorted(got) == [1, 2]
+
+    def test_order_by_large_integer_keys_df(self, rumble):
+        src = "parallelize((9007199254740993, 9007199254740992, 9007199254740994))"
+        ordered = [9007199254740992, 9007199254740993, 9007199254740994]
+        assert rumble.run(f"for $x in {src} order by $x return $x") == ordered
+        assert rumble.run(f"for $x in {src} order by $x descending return $x") == ordered[::-1]
+
+    def test_context_item_inside_nested_flwor_df(self, rumble):
+        # A FLWOR does not change the focus, on executors too: $$ is the
+        # predicate's item inside the nested FLWOR of a where.
+        q = ("for $x in parallelize((1, 2, 3)) "
+             "where ($x, 5)[for $z in (1) return $$ ge 5] return $x")
+        assert sorted(rumble.run(q)) == [1, 2, 3]
+        q = "for $x in parallelize((1, 2, 3)) return ($x, 5)[let $y := 1 return $$ ge 2]"
+        assert sorted(rumble.run(q)) == [2, 3, 5, 5, 5]
+
     def test_group_key_reconstruction_types(self, rumble):
         # Keys come back with their original types (int vs string vs bool).
         got = rumble.run(

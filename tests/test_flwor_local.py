@@ -164,6 +164,14 @@ class TestGroupBy:
         )
         assert sorted(got) == [2, 4]
 
+    def test_large_integer_keys_stay_apart(self, local_engine):
+        # 2^53 + 1 rounds to the same double as 2^53; 2^53.0 equals 2^53.
+        got = local_engine.run(
+            "for $x in (9007199254740992, 9007199254740993, 9007199254740992.0) "
+            "group by $k := $x return count($x)"
+        )
+        assert sorted(got) == [1, 2]
+
 
 class TestOrderBy:
     def test_ascending_default(self, local_engine):
@@ -173,6 +181,13 @@ class TestOrderBy:
         assert local_engine.run(
             "for $x in (3, 1, 2) order by $x descending return $x"
         ) == [3, 2, 1]
+
+    def test_large_integer_keys_keep_their_order(self, local_engine):
+        src = "(9007199254740993, 9007199254740992, 9007199254740994)"
+        ordered = [9007199254740992, 9007199254740993, 9007199254740994]
+        assert local_engine.run(f"for $x in {src} order by $x return $x") == ordered
+        assert local_engine.run(
+            f"for $x in {src} order by $x descending return $x") == ordered[::-1]
 
     def test_strings(self, local_engine):
         assert local_engine.run(
@@ -274,6 +289,20 @@ class TestNestingAndShadowing:
             "for $x in (for $y in (1, 2, 3) where $y gt 1 return $y) return $x * 10"
         )
         assert got == [20, 30]
+
+    def test_context_item_inside_nested_flwor(self, local_engine):
+        # A FLWOR does not change the focus: $$ is the predicate's item.
+        assert local_engine.run("(1, 2, 3)[let $y := 1 return $$ ge 2]") == [2, 3]
+        assert local_engine.run("(1, 2, 3)[for $z in (1) return $$ ge 3]") == [3]
+
+    def test_outer_variable_shadowed_after_for(self, local_engine):
+        # $y reads the outer $z; the let of $z in one tuple does not
+        # reach the next tuple.
+        got = local_engine.run(
+            "let $z := 0 return for $x in (1, 2) let $y := $z let $z := $x * 10 "
+            "return [$y, $z]"
+        )
+        assert got == [[0, 10], [0, 20]]
 
     def test_for_var_shadows_outer(self, local_engine):
         got = local_engine.run(

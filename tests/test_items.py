@@ -150,10 +150,22 @@ class TestKeyEncoding:
         assert items.encode_key([], empty_greatest=True)[0] == items.TYPE_EMPTY_GREATEST
 
     def test_string_payload(self):
-        assert items.encode_key(["abc"]) == (items.TYPE_STRING, "abc", 0.0)
+        assert items.encode_key(["abc"]) == (items.TYPE_STRING, "abc", 0.0, 0.0)
 
     def test_number_payload(self):
-        assert items.encode_key([2]) == (items.TYPE_NUMBER, "", 2.0)
+        assert items.encode_key([2]) == (items.TYPE_NUMBER, "", 2.0, 0.0)
+        assert items.encode_key([2.5]) == (items.TYPE_NUMBER, "", 2.5, 0.0)
+
+    def test_large_integers_keep_a_residual(self):
+        # 2^53 + 1 rounds to the double 2^53; the residual tells them
+        # apart and orders them, and 2^53 still equals 2^53.0.
+        big = 2**53
+        enc = [items.encode_key([n]) for n in (big + 3, big, big + 1, big + 4)]
+        assert enc[1] == items.encode_key([float(big)]) == (items.TYPE_NUMBER, "", float(big), 0.0)
+        assert enc[2] == (items.TYPE_NUMBER, "", float(big), 1.0)
+        assert enc[0] == (items.TYPE_NUMBER, "", float(big + 4), -1.0)
+        assert sorted(enc) == [enc[1], enc[2], enc[0], enc[3]]
+        assert items.encode_key([-big - 1]) < items.encode_key([-big])
 
     def test_ordering_matches_jsoniq(self):
         # empty < null < false < true < strings... and numbers group
