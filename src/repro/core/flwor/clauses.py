@@ -13,13 +13,17 @@ run of them before a stream clause (``group by``, ``order by``,
 :func:`~repro.core.flwor.frame.local_pass` runs it through
 ``apply_local`` in one Arrow pass, together with the stream clause's
 key encodings. ``apply_df(tframe, outer_ctx, before)`` of a stream
-clause then expresses the clause itself as Spark SQL operations.
+clause then expresses the clause itself as Spark SQL operations. An
+``order by`` whose keys are all group-by outputs, with no clause
+between, sorts by the encodings the group by kept and runs no pass.
 
 The initial ``for`` clause additionally knows how to *start* a tuple
-stream from an RDD of items (the single-column DataFrame of §4.4).
+stream from an RDD of items (the single-column DataFrame of §4.4), and
+from a ``json-file()`` without one.
 """
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Iterable, Iterator
 
 from pyspark.sql import Observation, functions as F
@@ -27,6 +31,9 @@ from pyspark.sql.types import StringType, StructField, StructType
 
 from ..dynamic_context import DynamicContext
 from ..items import (
+    TYPE_EMPTY_GREATEST,
+    TYPE_EMPTY_LEAST,
+    TYPE_NUMBER,
     check_orderable_types,
     dumps_seq,
     effective_boolean_value,
@@ -96,21 +103,19 @@ class ForClauseIterator(ClauseIterator):
     def start_df(self, outer_ctx: DynamicContext) -> TupleFrame:
         """Create the single-column DataFrame from the expression's RDD,
         'in parallel on the cluster' (§4.4): no driver materialization.
-        A json-file() source short-circuits: each input line already is
-        the item's JSON, so the cell is built by string wrapping."""
+        A json-file() source builds its cells in the JVM: each input
+        line already is the item's JSON."""
         from ..iterators.input import JsonFileIterator
 
-        spark = active_spark()
         col = "c0_" + "".join(ch if ch.isalnum() else "_" for ch in self.var)
         if isinstance(self.expr, JsonFileIterator):
-            rows = self.expr.get_cell_rdd(outer_ctx).map(lambda cell: (cell,))
+            df = self.expr.cell_df(outer_ctx, col)
         else:
-            rdd = self.expr.get_rdd(outer_ctx)
-            rows = rdd.map(lambda item: (dumps_seq([item]),))
-        schema = StructType([StructField(col, StringType(), False)])
-        # verifySchema would re-check every row in Python; the mapper
-        # above guarantees the single string column.
-        df = spark.createDataFrame(rows, schema=schema, verifySchema=False)
+            rows = self.expr.get_rdd(outer_ctx).map(lambda item: (dumps_seq([item]),))
+            schema = StructType([StructField(col, StringType(), False)])
+            # verifySchema would re-check every row in Python; the mapper
+            # above guarantees the single string column.
+            df = active_spark().createDataFrame(rows, schema=schema, verifySchema=False)
         return TupleFrame(df, {self.var: col}, single_item={self.var})
 
     def bind_each(self, ctx: DynamicContext, items) -> Iterator[DynamicContext]:
@@ -289,18 +294,21 @@ class GroupByClauseIterator(ClauseIterator):
             tframe, [*before, *lets], outer_ctx,
             keys=[(VarRefIterator(v), False, "group-by key") for v in key_vars])
 
-        group_cols = [F.col(f"{k}.{f}") for k in key_cols for f in KEY_FIELDS]
+        group_cols = [F.col(f"{k}.{f}").alias(f"{k}_{f}") for k in key_cols for f in KEY_FIELDS]
 
         # 2. Aggregate. A materialized variable's cells are merged in the
         # JVM: the JSON arrays' bodies, the empty ones dropped, joined by
-        # commas (the paper's SEQUENCE() UDAF, §4.7).
-        aggs = []
-        out_columns: dict[str, str] = {}
+        # commas (the paper's SEQUENCE() UDAF, §4.7). Each key and each
+        # count also keeps its §4.7 encoding as a column for an
+        # `order by` that follows.
+        aggs, cells, keys = [], {}, {}
         single_out: set[str] = set()
         for var, k in zip(key_vars, key_cols):
             canon = work.fresh_col(var + "_canon")
             aggs.append(F.first(F.col(f"{k}.canon")).alias(canon))
-            out_columns[var] = canon
+            cells[var] = F.col(canon)
+            keys[var] = F.struct(*[F.col(f"{k}_{f}").alias(f) for f in KEY_FIELDS],
+                                 F.col(canon).alias("canon"))
             single_out.add(var)
         for var, col in work.columns.items():
             if var in key_vars:
@@ -310,9 +318,12 @@ class GroupByClauseIterator(ClauseIterator):
                 continue
             out = work.fresh_col(var + "_agg")
             if mode == "count":
-                aggs.append(
-                    F.concat(F.lit("["), F.count(F.col(col)).cast("string"), F.lit("]")).alias(out)
-                )
+                aggs.append(F.count(F.col(col)).alias(out))
+                cells[var] = F.concat(F.lit("["), F.col(out).cast("string"), F.lit("]"))
+                keys[var] = F.struct(
+                    F.lit(TYPE_NUMBER).alias("code"), F.lit("").alias("s"),
+                    F.col(out).cast("double").alias("d"), F.lit(0.0).alias("r"),
+                    cells[var].alias("canon"))
                 single_out.add(var)
             else:
                 bodies = F.transform(F.collect_list(F.col(col)),
@@ -320,9 +331,13 @@ class GroupByClauseIterator(ClauseIterator):
                 aggs.append(F.concat(
                     F.lit("["), F.array_join(F.filter(bodies, lambda b: b != ""), ","),
                     F.lit("]")).alias(out))
-            out_columns[var] = out
-        grouped = work.df.groupBy(*group_cols).agg(*aggs).select(*out_columns.values())
-        return TupleFrame(grouped, out_columns, single_out, work._fresh)
+                cells[var] = F.col(out)
+        out_columns = {var: work.fresh_col(var) for var in cells}
+        key_columns = {var: work.fresh_col(var + "_key") for var in keys}
+        grouped = work.df.groupBy(*group_cols).agg(*aggs).select(
+            *[c.alias(out_columns[v]) for v, c in cells.items()],
+            *[c.alias(key_columns[v]) for v, c in keys.items()])
+        return TupleFrame(grouped, out_columns, single_out, work._fresh, key_columns)
 
 
 class OrderByClauseIterator(ClauseIterator):
@@ -362,9 +377,28 @@ class OrderByClauseIterator(ClauseIterator):
 
     # -- DataFrame --------------------------------------------------------------
     def apply_df(self, tframe, outer_ctx, before=()):
-        tframe, key_cols = local_pass(
-            tframe, before, outer_ctx,
-            keys=[(expr, eg, "order-by key") for expr, _, eg in self.specs])
+        from ..iterators.basic import VarRefIterator
+
+        names = [e.name if isinstance(e, VarRefIterator) else None for e, _, _ in self.specs]
+        if not before and all(n in tframe.keys for n in names):
+            # Every key is a variable whose encoding Catalyst already
+            # holds (a group-by output): no Python pass. Only the empty
+            # sequence's code depends on the spec.
+            tframe = replace(tframe)
+            key_cols = [tframe.fresh_col(f"key{i}") for i in range(len(names))]
+            keyed = {}
+            for k, n, (_, _, eg) in zip(key_cols, names, self.specs):
+                key = F.col(tframe.keys[n])
+                if eg:
+                    code = key.getField("code")
+                    key = key.withField("code", F.when(code == TYPE_EMPTY_LEAST, TYPE_EMPTY_GREATEST)
+                                        .otherwise(code))
+                keyed[k] = key
+            tframe.df = tframe.df.withColumns(keyed)
+        else:
+            tframe, key_cols = local_pass(
+                tframe, before, outer_ctx,
+                keys=[(expr, eg, "order-by key") for expr, _, eg in self.specs])
 
         # First pass (§4.8): one job evaluates the keys, checkpoints the
         # keyed frame and observes the type codes under each key.
@@ -407,10 +441,9 @@ class CountClauseIterator(ClauseIterator):
         if before:
             tframe = local_pass(tframe, before, outer_ctx)[0]
         new = tframe.fresh_col(self.var)
-        schema = StructType(
-            list(tframe.df.schema.fields) + [StructField(new, StringType(), False)]
-        )
-        rows = tframe.df.rdd.zipWithIndex().map(
+        df = tframe.df.select(*tframe.columns.values())
+        schema = StructType(list(df.schema.fields) + [StructField(new, StringType(), False)])
+        rows = df.rdd.zipWithIndex().map(
             lambda pair: tuple(pair[0]) + (dumps_seq([pair[1] + 1]),)
         )
         spark = active_spark()

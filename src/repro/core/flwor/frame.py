@@ -11,14 +11,18 @@ sequence (`items.dumps_seq`), the PySpark stand-in for the paper's
 mapping (JSONiq variable names may contain ``-``; columns get fresh
 synthetic names) and tracks which variables are guaranteed single-item
 per tuple (``for``-bound) — the precondition for the §4.7 COUNT
-push-down.
+push-down. Where Catalyst already computed a variable's §4.7 encoding
+(a group-by's keys and counts), the frame also keeps it as a
+``KEY_STRUCT`` column, so that an ``order by`` of that variable needs no
+Python pass.
 
 This module is the one tuple-cell codec. :func:`local_pass` is the
 paper's ``EVALUATE_EXPRESSION`` UDF for a whole segment: one Arrow pass
 decodes each row's cells once into the tuple's dynamic context, runs it
 through the row-local clauses (executors never nest Spark jobs, §5.6),
-and writes the surviving cells plus the §4.7 typed encoding of the
-following stream clause's keys.
+and writes the cells in scope plus the §4.7 typed encoding of the
+following stream clause's keys. A cell that no clause of the segment
+binds is written back as it came in.
 """
 from __future__ import annotations
 
@@ -62,6 +66,10 @@ class TupleFrame:
     columns: dict[str, str]  # variable name -> DataFrame column name
     single_item: set[str] = field(default_factory=set)
     _fresh: int = 0
+    #: variable name -> column of ``df`` holding the variable's §4.7
+    #: encoding as a ``KEY_STRUCT``, where Catalyst already computed it
+    #: (a group-by's keys and counts). An ``order by $var`` sorts by it.
+    keys: dict[str, str] = field(default_factory=dict)
 
     def fresh_col(self, hint: str = "v") -> str:
         self._fresh += 1
@@ -76,13 +84,20 @@ def segment_rows(clauses, outer_ctx: DynamicContext, names: list[str],
     to the rows of ``out_vars``' cells and key structs they become."""
     from .clauses import bind_rows
 
+    # A variable no clause binds keeps its incoming cell (its index in
+    # ``names``); only a bound one is encoded again.
+    bound = {v for clause in clauses for v in clause.binds()}
+    plan = [v if v in bound else names.index(v) for v in out_vars]
+
     def run(rows) -> list[list]:
         bind = bind_rows(clauses)
         encoders = [(expr.evaluator(), eg, label) for expr, eg, label in keys]
         out = []
         for cells in rows:
             for ctx in bind(outer_ctx.child(zip(names, map(loads_seq, cells)))):
-                row = [dumps_seq(ctx.variables[v]) for v in out_vars]
+                # A NULL cell is the empty sequence.
+                row = [cells[p] or "[]" if isinstance(p, int) else dumps_seq(ctx.variables[p])
+                       for p in plan]
                 for evaluate, empty_greatest, label in encoders:
                     seq = evaluate(ctx)
                     row.append((*encode_key(seq, empty_greatest=empty_greatest,
@@ -126,5 +141,5 @@ def local_pass(tframe: TupleFrame, clauses, outer_ctx: DynamicContext,
                 [pa.array(c, type=f.type) for c, f in zip(cols, arrow_schema)],
                 schema=arrow_schema)
 
-    out.df = tframe.df.mapInArrow(run, schema)
+    out.df = tframe.df.select(*in_cols).mapInArrow(run, schema)
     return out, key_cols

@@ -7,7 +7,10 @@ Spark's ``textFile`` + a per-partition JSON parse — the PySpark
 equivalent of the paper's ``mapPartitions`` + JSONiter streaming
 parser. ``path`` may be a comma-separated list of paths, which is how
 the large-scale experiments replicate a dataset N× without writing N
-copies (Hadoop's text input accepts comma-joined paths).
+copies (Hadoop's text input accepts comma-joined paths). A FLWOR
+whose tuple stream is a DataFrame (§4.3) starts it from the same lines
+without a Python worker: :meth:`JsonFileIterator.cell_df` trims,
+skips blank lines and wraps each line into its cell in the JVM.
 
 When Spark is unavailable (executor side) or disabled
 (``config.force_local``), the file is streamed line-by-line in-process.
@@ -22,6 +25,8 @@ from __future__ import annotations
 import json
 from typing import Iterator
 
+from pyspark.sql import DataFrame, functions as F
+
 from ...jsoniq.errors import DynamicError, TypeError_
 from ..dynamic_context import DynamicContext
 from ..items import Item, is_number
@@ -35,13 +40,10 @@ def _parse_lines(lines) -> Iterator[Item]:
             yield json.loads(line)
 
 
-def _wrap_lines(lines) -> Iterator[str]:
-    """One JSON-Lines line → the JSON serialization of the single-item
-    sequence holding it (see ``items.dumps_seq``), without parsing."""
-    for line in lines:
-        line = line.strip()
-        if line:
-            yield "[" + line + "]"
+#: The characters ``str.strip`` strips, so that the JVM skips and trims
+#: exactly the lines :func:`_parse_lines` does.
+WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003"
+              "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
 
 
 class JsonFileIterator(RuntimeIterator):
@@ -93,13 +95,24 @@ class JsonFileIterator(RuntimeIterator):
     def get_rdd(self, ctx: DynamicContext):
         return self._text_rdd(ctx).mapPartitions(_parse_lines)
 
-    def get_cell_rdd(self, ctx: DynamicContext):
-        """RDD of serialized single-item sequences, one per input line —
-        each JSON-Lines line already *is* the item's serialization, so
-        an initial ``for`` clause can bootstrap its tuple-stream
-        DataFrame without a parse+re-serialize round trip (the paper's
-        equivalent: JSONiter streams straight into Items, §5.7)."""
-        return self._text_rdd(ctx).mapPartitions(_wrap_lines)
+    def cell_df(self, ctx: DynamicContext, col: str) -> DataFrame:
+        """One string column ``col`` of serialized single-item sequences,
+        one per non-blank input line, built in the JVM: each JSON-Lines
+        line already *is* the item's serialization, so an initial ``for``
+        clause starts its tuple stream without a Python worker (the
+        paper's JSONiter streams straight into Items, §5.7). It keeps
+        ``textFile``'s partitions. A line holding several comma-separated
+        values raises ``JSONDecodeError`` here; other malformed lines
+        raise when a Python pass decodes the cell."""
+        spark = active_spark()
+        lines = spark._jsparkSession.createDataset(
+            self._text_rdd(ctx)._jrdd.rdd(), spark._jvm.org.apache.spark.sql.Encoders.STRING())
+        line = F.btrim(F.col("value"), F.lit(WHITESPACE))
+        cell = F.concat(F.lit("["), line, F.lit("]"))
+        return DataFrame(lines.toDF(), spark).where(line != "").select(
+            F.when(F.json_array_length(cell) > 1, F.raise_error(F.concat(
+                F.lit("JSONDecodeError: more than one JSON value on a json-file() line: "),
+                line))).otherwise(cell).alias(col))
 
     def _iterate_local(self, ctx: DynamicContext) -> Iterator[Item]:
         for path in self._path(ctx).split(","):

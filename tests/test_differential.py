@@ -126,6 +126,46 @@ QUERIES += [f"{body} {ret}" for body, ret in BINDINGS]
 QUERIES += [f"{body} count $c {ret}" for body, ret in BINDINGS]
 
 
+# An `order by` over group-by outputs (keys and counts) sorts by the
+# encodings the group by computed in the JVM. {src} is a source whose
+# `v` includes null and the empty sequence; {big} holds integers that
+# share a double.
+BIG = "(9007199254740993, 9007199254740992, 1, 9007199254740994, 9007199254740993)"
+GROUP_ORDER_QUERIES = [
+    "for $o in {src} group by $k := $o.v order by $k empty greatest "
+    "return [$k, count($o), empty($k)]",
+    "for $o in {src} group by $k := $o.v order by $k empty least "
+    "return [$k, count($o), empty($k)]",
+    "for $o in {src} group by $k := $o.v order by $k descending empty greatest "
+    "return [$k, empty($k)]",
+    "for $o in {src} group by $k := $o.g order by count($o) descending, $k return [$k, count($o)]",
+    # ties on the count are broken by the key
+    "for $o in {src} group by $k := $o.t order by count($o) descending, $k descending "
+    "return [$k, count($o)]",
+    "for $o in {src} group by $k := $o.v order by count($o), $k empty greatest "
+    "return [$k, count($o)]",
+    "for $x in {big} group by $k := $x order by $k return [$k, count($x)]",
+    "for $x in {big} group by $k := $x order by $k descending return [$k, count($x)]",
+    "for $x in {big} group by $k := $x order by count($x) descending, $k return $k",
+]
+
+
+@pytest.mark.parametrize("template", GROUP_ORDER_QUERIES,
+                         ids=[q[:70] for q in GROUP_ORDER_QUERIES])
+def test_order_by_group_outputs(template, spark, local_eng):
+    expected = local_eng.run(template.format(src=SRC, big=BIG))
+    got = Rumble(spark).run(template.format(src=f"parallelize({SRC})", big=f"parallelize({BIG})"))
+    assert got == expected
+
+
+def test_order_by_mixed_family_group_keys(spark, local_eng):
+    template = "for $o in {src} group by $k := ($o.v, $o.g)[1] order by $k return $k"
+    with pytest.raises(TypeError_):
+        local_eng.run(template.format(src=SRC))
+    with pytest.raises(TypeError_):
+        Rumble(spark).run(template.format(src=f"parallelize({SRC})"))
+
+
 def canonical(items):
     return sorted(json.dumps(i, sort_keys=True) for i in items)
 

@@ -287,8 +287,9 @@ class TestClausesOnDataFrames:
 
     def test_readme_prefix_is_one_pass_per_segment(self, rumble, confusion_path,
                                                    monkeypatch):
-        # `where` plus the group-by keys form one segment, the order-by
-        # keys another; the plan the order by checkpoints holds both.
+        # `where` plus the group-by keys form one segment. The order-by
+        # key is the group-by's count, whose encoding the JVM holds, so
+        # the plan the order by checkpoints holds that one pass only.
         from repro.core.flwor import clauses
         from repro.core.query_scope import query_scope
 
@@ -308,7 +309,7 @@ class TestClausesOnDataFrames:
         )
         with query_scope():
             it._build_tframe(rumble._ctx())
-        assert plans == [["MapInArrow", "MapInArrow"]]
+        assert plans == [["MapInArrow"]]
 
     def test_group_by_large_integer_keys_df(self, rumble):
         # 2^53 + 1 rounds to the same double as 2^53; 2^53.0 equals 2^53.
@@ -382,6 +383,50 @@ class TestReturnPassTail:
             local_engine.run(q)
         with pytest.raises(Py4JJavaError, match="JSONDecodeError"):
             rumble.run(q)
+
+    @pytest.mark.parametrize("stream", ["group by $k := 1 return count($x)",
+                                        "order by $x.a return $x"])
+    def test_malformed_line_raises_before_stream_clause(self, rumble, local_engine,
+                                                        tmp_path, stream):
+        # The JVM start frame checks that each line holds one value.
+        p = tmp_path / "bad.json"
+        p.write_text('{"a": 1}\n1, 2\n{"a": 2}\n')
+        q = f'for $x in json-file("{p}") {stream}'
+        with pytest.raises(json.JSONDecodeError):
+            local_engine.run(q)
+        with pytest.raises(Exception, match="JSONDecodeError"):
+            rumble.run(q)
+
+    @pytest.mark.parametrize("stream", ["group by $k := $x.a return [$k, count($x)]",
+                                        "order by $x.a descending return $x",
+                                        "count $c return [$c, $x]"])
+    def test_blank_lines_are_skipped_before_stream_clause(self, rumble, local_engine,
+                                                          tmp_path, stream):
+        from repro.core.iterators.input import WHITESPACE
+
+        # The JVM trims the characters str.strip strips.
+        assert WHITESPACE == "".join(c for c in map(chr, range(0x110000)) if c.isspace())
+        p = tmp_path / "crlf.json"
+        p.write_bytes(b'{"a": 1}\r\n  \r\n\t\r\n {"a": 2} \r\n\r\n\t{"a": 1}\t\r\n'
+                      b'\xc2\xa0"x"\xe3\x80\x80\r\n')
+        q = f'for $x in json-file("{p}") {stream}'
+        expected = local_engine.run(q)
+        assert len(expected) == (3 if "group" in stream else 4)
+        if "group" in stream:
+            assert sorted(map(json.dumps, rumble.run(q))) == sorted(map(json.dumps, expected))
+        else:
+            assert rumble.run(q) == expected
+
+    def test_json_file_start_frame_is_built_in_the_jvm(self, rumble, tmp_path):
+        p = tmp_path / "v.json"
+        p.write_text("".join(f'{{"v": {i}}}\n' for i in range(40)))
+        q = f'for $c in json-file("{p}", 3) group by $k := $c.v mod 2 return count($c)'
+        rumble._activate()
+        start = rumble.compile(q).clauses[0].start_df(rumble._ctx()).df
+        assert start._jdf.rdd().getNumPartitions() == 3
+        assert "PythonRDD" not in start._jdf.rdd().toDebugString()
+        assert python_nodes(start) == []
+        assert rumble.run(q) == [20, 20]
 
     @pytest.mark.parametrize(
         "query, expected",
