@@ -10,10 +10,8 @@ materialization cap with warning (§5.5).
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
-from ..jsoniq.errors import MaterializationCapExceeded
 from .items import Item, Sequence
 
 
@@ -25,8 +23,6 @@ class RumbleConfig:
     #: through the local API (§5.5: "a maximum number of items to
     #: materialize can be specified and a warning is issued").
     materialization_cap: int = 10_000_000
-    #: Emit a warning (vs raise) when the cap is hit.
-    warn_on_cap: bool = True
     #: Disable Spark entirely: every iterator reports no RDD support and
     #: sources read locally. Used by the Zorba-like baseline.
     force_local: bool = False
@@ -35,13 +31,6 @@ class RumbleConfig:
     #: model Zorba/Xidel, which materialize non-grouping variables and
     #: therefore run out of memory on the grouping query (Fig. 12).
     enable_optimizations: bool = True
-
-    def on_materialization_cap(self, cap: int) -> None:
-        msg = f"RDD materialized through the local API was truncated at {cap} items"
-        if self.warn_on_cap:
-            warnings.warn(msg, RuntimeWarning, stacklevel=3)
-        else:
-            raise MaterializationCapExceeded(msg)
 
 
 @dataclass

@@ -33,6 +33,7 @@ False and evaluation stays local.
 """
 from __future__ import annotations
 
+import warnings
 from typing import Callable, Iterator, Optional
 
 from ...jsoniq.errors import RumbleError
@@ -183,7 +184,10 @@ class RuntimeIterator:
         cap = ctx.config.materialization_cap
         items = self.get_rdd(ctx).take(cap + 1)
         if len(items) > cap:
-            ctx.config.on_materialization_cap(cap)
+            warnings.warn(
+                f"RDD materialized through the local API was truncated at {cap} items",
+                RuntimeWarning, stacklevel=3,
+            )
             items = items[:cap]
         return items
 

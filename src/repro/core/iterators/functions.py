@@ -1,33 +1,38 @@
 """Builtin function library (paper §2.3, §5.7).
 
-Each function is a small implementation taking its argument iterators
-and the dynamic context and returning its result sequence as a list.
+Most functions are *value functions*: ``impl(*sequences)`` over their
+arguments' evaluated sequences, called straight from the call's
+closure. A *lazy* function (``register(..., lazy=True)``) takes
+``(args, ctx)`` and reads its sequence argument itself, so it can
+stream it, stop at the first item or run a Spark action on it.
 Aggregations (``count``, ``sum``, ...) follow §5.5: when the argument
-sequence is physically an RDD, they invoke the corresponding Spark
-*action* on it instead of streaming items to the driver — the result
-is a local singleton but "the user does not see the difference".
+sequence is physically an RDD, they run a Spark action on it instead
+of streaming items to the driver, folding the same way as locally — the
+result is a local singleton and "the user does not see the difference".
 ``distinct-values`` keeps its output distributed: it maps to the RDD
 ``distinct`` transformation.
 """
 from __future__ import annotations
 
+import decimal
 import math
-from typing import Callable, Iterator
+import operator
+from typing import Callable, Iterable
 
 from ...jsoniq.errors import DynamicError, StaticError, TypeError_
 from ..dynamic_context import DynamicContext
 from ..items import Item, effective_boolean_value, is_atomic, is_number, kind
 from .base import Evaluator, RuntimeIterator
-from .operators import atomic_to_string
+from .operators import atomic_to_string, to_concat_str
 
-# registry: name -> (min_args, max_args, impl)
-# impl(args: list[RuntimeIterator], ctx) -> list[Item]
-_REGISTRY: dict[str, tuple[int, int, Callable]] = {}
+# registry: name -> (min_args, max_args, impl, lazy)
+# value impl(*sequences) -> list[Item]; lazy impl(args, ctx) -> list[Item]
+_REGISTRY: dict[str, tuple[int, int, Callable, bool]] = {}
 
 
-def register(name: str, min_args: int, max_args: int):
+def register(name: str, min_args: int, max_args: int, lazy: bool = False):
     def deco(fn):
-        _REGISTRY[name] = (min_args, max_args, fn)
+        _REGISTRY[name] = (min_args, max_args, fn, lazy)
         return fn
 
     return deco
@@ -37,7 +42,7 @@ def validate_call(name: str, n_args: int) -> None:
     """Static arity check (unknown function / wrong arity → StaticError)."""
     if name not in _REGISTRY:
         raise StaticError(f"unknown function {name}()")
-    lo, hi, _ = _REGISTRY[name]
+    lo, hi, _, _ = _REGISTRY[name]
     if not (lo <= n_args <= hi):
         raise StaticError(f"{name}() takes {lo}..{hi} arguments, got {n_args}")
 
@@ -51,9 +56,15 @@ class FunctionCallIterator(RuntimeIterator):
         validate_call(name, len(args))
 
     def _compile(self) -> Evaluator:
-        impl = _REGISTRY[self.name][2]
-        args = self.children
-        return lambda ctx: impl(args, ctx)
+        _, _, impl, lazy = _REGISTRY[self.name]
+        if lazy:
+            args = self.children
+            return lambda ctx: impl(args, ctx)
+        evs = [c.evaluator() for c in self.children]
+        if len(evs) == 1:
+            (arg,) = evs
+            return lambda ctx: impl(arg(ctx))
+        return lambda ctx: impl(*[ev(ctx) for ev in evs])
 
     # distinct-values keeps RDD form (§5.6); everything else is local.
     def supports_rdd(self, ctx: DynamicContext) -> bool:
@@ -76,15 +87,11 @@ def _require_atomic(item: Item) -> Item:
     return item
 
 
-def _stream(child: RuntimeIterator, ctx: DynamicContext) -> Iterator[Item]:
-    return child.iter_items(ctx)
-
-
 # ---------------------------------------------------------------------------
 # Aggregations — Spark actions when the child is an RDD (§5.5)
 # ---------------------------------------------------------------------------
 
-@register("count", 1, 1)
+@register("count", 1, 1, lazy=True)
 def _fn_count(args, ctx):
     (child,) = args
     if child.supports_rdd(ctx):
@@ -93,42 +100,33 @@ def _fn_count(args, ctx):
         rdd_count = getattr(child, "rdd_count", None)
         return [rdd_count(ctx) if rdd_count is not None else child.get_rdd(ctx).count()]
     n = 0
-    for _ in _stream(child, ctx):
+    for _ in child.iter_items(ctx):
         n += 1
     return [n]
 
 
-def _numeric_agg(child, ctx, op: str):
-    """sum/min/max/avg over numbers (min/max also strings, per W3C)."""
+def _reduce(step: Callable, accs: Iterable) -> list:
+    """``accs`` combined left to right with ``step``; [] when empty."""
+    it = iter(accs)
+    for acc in it:
+        for nxt in it:
+            acc = step(acc, nxt)
+        return [acc]
+    return []
+
+
+def _fold(child: RuntimeIterator, ctx: DynamicContext, step: Callable,
+          check: Callable) -> list:
+    """Each item of ``child`` turned into an accumulator by ``check``,
+    the accumulators combined by ``step``; [] for an empty sequence. On
+    an RDD each partition folds its own items and the driver combines
+    the partial results with the same ``step`` (§5.5)."""
     if child.supports_rdd(ctx):
-        rdd = child.get_rdd(ctx)
-        if op == "sum":
-            return rdd.map(_num_or_error).sum()
-        if op == "avg":
-            pair = rdd.map(lambda it: (_num_or_error(it), 1)).reduce(
-                lambda a, b: (a[0] + b[0], a[1] + b[1])
-            )
-            return pair[0] / pair[1]
-        if op == "min":
-            return rdd.reduce(_min2)
-        if op == "max":
-            return rdd.reduce(_max2)
-    values = list(_stream(child, ctx))
-    if not values:
-        return None  # sentinel handled by callers
-    if op == "sum":
-        return sum(_num_or_error(v) for v in values)
-    if op == "avg":
-        return sum(_num_or_error(v) for v in values) / len(values)
-    if op == "min":
-        out = values[0]
-        for v in values[1:]:
-            out = _min2(out, v)
-        return out
-    out = values[0]
-    for v in values[1:]:
-        out = _max2(out, v)
-    return out
+        parts = child.get_rdd(ctx).mapPartitions(
+            lambda items: _reduce(step, map(check, items))
+        ).collect()
+        return _reduce(step, parts)
+    return _reduce(step, map(check, child.iter_items(ctx)))
 
 
 def _num_or_error(item: Item):
@@ -137,96 +135,97 @@ def _num_or_error(item: Item):
     return item
 
 
-def _comparable_pair(a: Item, b: Item):
-    ok = (is_number(a) and is_number(b)) or (isinstance(a, str) and isinstance(b, str))
-    if not ok:
+def _comparable(item: Item) -> Item:
+    # W3C min/max compare numbers with numbers and strings with strings.
+    if not (is_number(item) or isinstance(item, str)):
+        raise TypeError_(f"min/max over a {kind(item)}")
+    return item
+
+
+def _same_family(a: Item, b: Item) -> None:
+    if isinstance(a, str) != isinstance(b, str):
         raise TypeError_(f"min/max over mixed {kind(a)} and {kind(b)}")
 
 
 def _min2(a, b):
-    _comparable_pair(a, b)
+    _same_family(a, b)
     return a if a <= b else b
 
 
 def _max2(a, b):
-    _comparable_pair(a, b)
+    _same_family(a, b)
     return a if a >= b else b
 
 
-@register("sum", 1, 2)
+@register("sum", 1, 2, lazy=True)
 def _fn_sum(args, ctx):
-    r = _numeric_agg(args[0], ctx, "sum")
-    if r is None:
-        # zero value: second argument, default integer 0
-        return args[1].materialize(ctx) if len(args) == 2 else [0]
-    return [r]
+    # zero value of an empty sequence: second argument, default integer 0
+    out = _fold(args[0], ctx, operator.add, _num_or_error)
+    return out or (args[1].materialize(ctx) if len(args) == 2 else [0])
 
 
-@register("avg", 1, 1)
+@register("avg", 1, 1, lazy=True)
 def _fn_avg(args, ctx):
-    r = _numeric_agg(args[0], ctx, "avg")
-    return [] if r is None else [r]
+    pairs = _fold(args[0], ctx, lambda a, b: (a[0] + b[0], a[1] + b[1]),
+                  lambda item: (_num_or_error(item), 1))
+    return [total / n for total, n in pairs]
 
 
-@register("min", 1, 1)
+@register("min", 1, 1, lazy=True)
 def _fn_min(args, ctx):
-    try:
-        r = _numeric_agg(args[0], ctx, "min")
-    except ValueError:  # empty RDD reduce
-        r = None
-    return [] if r is None else [r]
+    return _fold(args[0], ctx, _min2, _comparable)
 
 
-@register("max", 1, 1)
+@register("max", 1, 1, lazy=True)
 def _fn_max(args, ctx):
-    try:
-        r = _numeric_agg(args[0], ctx, "max")
-    except ValueError:
-        r = None
-    return [] if r is None else [r]
+    return _fold(args[0], ctx, _max2, _comparable)
 
 
 # ---------------------------------------------------------------------------
 # Sequence functions
 # ---------------------------------------------------------------------------
 
-@register("empty", 1, 1)
-def _fn_empty(args, ctx):
-    for _ in _stream(args[0], ctx):
-        return [False]
-    return [True]
-
-
-@register("exists", 1, 1)
-def _fn_exists(args, ctx):
-    for _ in _stream(args[0], ctx):
-        return [True]
-    return [False]
-
-
-@register("head", 1, 1)
-def _fn_head(args, ctx):
-    for item in _stream(args[0], ctx):
+def _first(child: RuntimeIterator, ctx: DynamicContext) -> list:
+    """The first item of ``child`` (or none): ``take(1)`` on an RDD,
+    otherwise the first item pulled."""
+    if child.supports_rdd(ctx):
+        return child.get_rdd(ctx).take(1)
+    for item in child.iter_items(ctx):
         return [item]
     return []
 
 
-@register("tail", 1, 1)
+@register("empty", 1, 1, lazy=True)
+def _fn_empty(args, ctx):
+    return [not _first(args[0], ctx)]
+
+
+@register("exists", 1, 1, lazy=True)
+def _fn_exists(args, ctx):
+    return [bool(_first(args[0], ctx))]
+
+
+@register("head", 1, 1, lazy=True)
+def _fn_head(args, ctx):
+    return _first(args[0], ctx)
+
+
+@register("tail", 1, 1, lazy=True)
 def _fn_tail(args, ctx):
-    it = _stream(args[0], ctx)
+    it = args[0].iter_items(ctx)
     next(it, None)
     return list(it)
 
 
-@register("subsequence", 2, 3)
+@register("subsequence", 2, 3, lazy=True)
 def _fn_subsequence(args, ctx):
-    start = _single_number(args[1], ctx, "subsequence start")
-    length = _single_number(args[2], ctx, "subsequence length") if len(args) == 3 else None
-    lo = int(round(start))
-    hi = None if length is None else lo + int(round(length))
+    lo = _xpath_round(_single_number(args[1].materialize(ctx), "subsequence start"))
+    hi = None
+    if len(args) == 3:
+        hi = lo + _xpath_round(_single_number(args[2].materialize(ctx), "subsequence length"))
     out = []
     pos = 0
-    for item in _stream(args[0], ctx):
+    for item in args[0].iter_items(ctx):
         pos += 1
         if pos >= lo and (hi is None or pos < hi):
             out.append(item)
@@ -235,11 +234,11 @@ def _fn_subsequence(args, ctx):
     return out
 
 
-@register("distinct-values", 1, 1)
+@register("distinct-values", 1, 1, lazy=True)
 def _fn_distinct_values(args, ctx):
     seen: set = set()
     out = []
-    for item in _stream(args[0], ctx):
+    for item in args[0].iter_items(ctx):
         _require_atomic(item)
         if item not in seen:
             seen.add(item)
@@ -248,8 +247,8 @@ def _fn_distinct_values(args, ctx):
 
 
 @register("reverse", 1, 1)
-def _fn_reverse(args, ctx):
-    return args[0].materialize(ctx)[::-1]
+def _fn_reverse(seq):
+    return seq[::-1]
 
 
 # ---------------------------------------------------------------------------
@@ -257,8 +256,7 @@ def _fn_reverse(args, ctx):
 # ---------------------------------------------------------------------------
 
 @register("size", 1, 1)
-def _fn_size(args, ctx):
-    seq = args[0].materialize(ctx)
+def _fn_size(seq):
     if not seq:
         return []
     if len(seq) != 1 or not isinstance(seq[0], list):
@@ -266,28 +264,28 @@ def _fn_size(args, ctx):
     return [len(seq[0])]
 
 
-@register("keys", 1, 1)
+@register("keys", 1, 1, lazy=True)
 def _fn_keys(args, ctx):
     seen: dict[str, None] = {}
-    for item in _stream(args[0], ctx):
+    for item in args[0].iter_items(ctx):
         if isinstance(item, dict):
             seen.update(dict.fromkeys(item))
     return list(seen)
 
 
-@register("values", 1, 1)
+@register("values", 1, 1, lazy=True)
 def _fn_values(args, ctx):
     out = []
-    for item in _stream(args[0], ctx):
+    for item in args[0].iter_items(ctx):
         if isinstance(item, dict):
             out.extend(item.values())
     return out
 
 
-@register("members", 1, 1)
+@register("members", 1, 1, lazy=True)
 def _fn_members(args, ctx):
     out = []
-    for item in _stream(args[0], ctx):
+    for item in args[0].iter_items(ctx):
         if isinstance(item, list):
             out.extend(item)
     return out
@@ -297,16 +295,16 @@ def _fn_members(args, ctx):
 # Casts / constructors
 # ---------------------------------------------------------------------------
 
-def _single_number(args0, ctx, what: str) -> float:
-    seq = args0.materialize(ctx)
+def _single_number(seq, what: str, *, empty_ok: bool = False):
+    if not seq and empty_ok:
+        return None
     if len(seq) != 1 or not is_number(seq[0]):
         raise TypeError_(f"{what} must be a single number")
     return seq[0]
 
 
 @register("string", 1, 1)
-def _fn_string(args, ctx):
-    seq = args[0].materialize(ctx)
+def _fn_string(seq):
     if not seq:
         return [""]
     if len(seq) > 1:
@@ -315,13 +313,12 @@ def _fn_string(args, ctx):
 
 
 @register("integer", 1, 1)
-def _fn_integer(args, ctx):
-    seq = args[0].materialize(ctx)
+def _fn_integer(seq):
     if not seq:
         return []
-    item = seq[0] if len(seq) == 1 else None
     if len(seq) > 1:
         raise TypeError_("integer() requires a singleton")
+    item = seq[0]
     try:
         if isinstance(item, bool):
             return [int(item)]
@@ -333,8 +330,7 @@ def _fn_integer(args, ctx):
 
 
 @register("number", 1, 1)
-def _fn_number(args, ctx):
-    seq = args[0].materialize(ctx)
+def _fn_number(seq):
     if not seq:
         return []
     if len(seq) > 1:
@@ -351,21 +347,20 @@ def _fn_number(args, ctx):
 
 
 @register("boolean", 1, 1)
-def _fn_boolean(args, ctx):
-    return [effective_boolean_value(args[0].materialize(ctx))]
+def _fn_boolean(seq):
+    return [effective_boolean_value(seq)]
 
 
 @register("not", 1, 1)
-def _fn_not(args, ctx):
-    return [not effective_boolean_value(args[0].materialize(ctx))]
+def _fn_not(seq):
+    return [not effective_boolean_value(seq)]
 
 
 # ---------------------------------------------------------------------------
 # String functions
 # ---------------------------------------------------------------------------
 
-def _single_string(args0, ctx, what: str, *, empty_ok: bool = True) -> str | None:
-    seq = args0.materialize(ctx)
+def _single_string(seq, what: str, *, empty_ok: bool = True) -> str | None:
     if not seq:
         if empty_ok:
             return None
@@ -376,107 +371,100 @@ def _single_string(args0, ctx, what: str, *, empty_ok: bool = True) -> str | Non
 
 
 @register("string-length", 1, 1)
-def _fn_string_length(args, ctx):
-    s = _single_string(args[0], ctx, "string-length() argument")
+def _fn_string_length(seq):
+    s = _single_string(seq, "string-length() argument")
     return [len(s) if s is not None else 0]
 
 
 @register("lower-case", 1, 1)
-def _fn_lower(args, ctx):
-    s = _single_string(args[0], ctx, "lower-case() argument")
+def _fn_lower(seq):
+    s = _single_string(seq, "lower-case() argument")
     return [(s or "").lower()]
 
 
 @register("upper-case", 1, 1)
-def _fn_upper(args, ctx):
-    s = _single_string(args[0], ctx, "upper-case() argument")
+def _fn_upper(seq):
+    s = _single_string(seq, "upper-case() argument")
     return [(s or "").upper()]
 
 
 @register("substring", 2, 3)
-def _fn_substring(args, ctx):
-    s = _single_string(args[0], ctx, "substring() argument") or ""
-    start = int(round(_single_number(args[1], ctx, "substring start")))
-    if len(args) == 3:
-        length = int(round(_single_number(args[2], ctx, "substring length")))
-        return [s[max(start - 1, 0) : max(start - 1 + length, 0)]]
-    return [s[max(start - 1, 0) :]]
+def _fn_substring(seq, start, length=None):
+    s = _single_string(seq, "substring() argument") or ""
+    lo = _xpath_round(_single_number(start, "substring start")) - 1
+    if length is None:
+        return [s[max(lo, 0):]]
+    hi = lo + _xpath_round(_single_number(length, "substring length"))
+    return [s[max(lo, 0):max(hi, 0)]]
 
 
 @register("contains", 2, 2)
-def _fn_contains(args, ctx):
-    a = _single_string(args[0], ctx, "contains() haystack") or ""
-    b = _single_string(args[1], ctx, "contains() needle") or ""
+def _fn_contains(a, b):
+    a = _single_string(a, "contains() haystack") or ""
+    b = _single_string(b, "contains() needle") or ""
     return [b in a]
 
 
 @register("starts-with", 2, 2)
-def _fn_starts_with(args, ctx):
-    a = _single_string(args[0], ctx, "starts-with() haystack") or ""
-    b = _single_string(args[1], ctx, "starts-with() needle") or ""
+def _fn_starts_with(a, b):
+    a = _single_string(a, "starts-with() haystack") or ""
+    b = _single_string(b, "starts-with() needle") or ""
     return [a.startswith(b)]
 
 
 @register("ends-with", 2, 2)
-def _fn_ends_with(args, ctx):
-    a = _single_string(args[0], ctx, "ends-with() haystack") or ""
-    b = _single_string(args[1], ctx, "ends-with() needle") or ""
+def _fn_ends_with(a, b):
+    a = _single_string(a, "ends-with() haystack") or ""
+    b = _single_string(b, "ends-with() needle") or ""
     return [a.endswith(b)]
 
 
 @register("concat", 2, 16)
-def _fn_concat(args, ctx):
-    parts = []
-    for a in args:
-        seq = a.materialize(ctx)
-        parts.append("" if not seq else atomic_to_string(seq[0]))
-    return ["".join(parts)]
+def _fn_concat(*seqs):
+    # Each argument converts as an operand of '||' does.
+    return ["".join(map(to_concat_str, seqs))]
 
 
-@register("string-join", 1, 2)
+@register("string-join", 1, 2, lazy=True)
 def _fn_string_join(args, ctx):
     sep = ""
     if len(args) == 2:
-        sep = _single_string(args[1], ctx, "string-join() separator") or ""
-    return [sep.join(map(atomic_to_string, _stream(args[0], ctx)))]
+        sep = _single_string(args[1].materialize(ctx), "string-join() separator") or ""
+    return [sep.join(map(atomic_to_string, args[0].iter_items(ctx)))]
 
 
 # ---------------------------------------------------------------------------
 # Numeric functions
 # ---------------------------------------------------------------------------
 
-@register("abs", 1, 1)
-def _fn_abs(args, ctx):
-    seq = args[0].materialize(ctx)
-    return [abs(_num_or_error(seq[0]))] if seq else []
-
-
-@register("round", 1, 2)
-def _fn_round(args, ctx):
-    seq = args[0].materialize(ctx)
-    if not seq:
-        return []
-    digits = int(_single_number(args[1], ctx, "round precision")) if len(args) == 2 else 0
-    x = _num_or_error(seq[0])
-    # XPath rounds ties toward positive infinity: round(2.5)=3,
-    # round(-2.5)=-2 — neither Python's banker's rounding nor plain
-    # half-away-from-zero.
-    import decimal
-
+def _xpath_round(x, digits: int = 0):
+    """``x`` rounded to ``digits`` decimals, ties toward positive
+    infinity as XPath rounds: round(2.5)=3, round(-2.5)=-2 — neither
+    Python's banker's rounding nor plain half-away-from-zero."""
     rounding = decimal.ROUND_HALF_UP if x >= 0 else decimal.ROUND_HALF_DOWN
     d = decimal.Decimal(str(x)).quantize(
         decimal.Decimal(1).scaleb(-digits), rounding=rounding
     )
-    return [int(d) if digits <= 0 else float(d)]
+    return int(d) if digits <= 0 else float(d)
 
 
-@register("floor", 1, 1)
-def _fn_floor(args, ctx):
-    seq = args[0].materialize(ctx)
-    return [math.floor(_num_or_error(seq[0]))] if seq else []
+@register("round", 1, 2)
+def _fn_round(seq, precision=None):
+    x = _single_number(seq, "round() argument", empty_ok=True)
+    if x is None:
+        return []
+    digits = 0 if precision is None else int(_single_number(precision, "round precision"))
+    return [_xpath_round(x, digits)]
 
 
-@register("ceiling", 1, 1)
-def _fn_ceiling(args, ctx):
-    seq = args[0].materialize(ctx)
-    return [math.ceil(_num_or_error(seq[0]))] if seq else []
+def _register_unary(name: str, op: Callable) -> None:
+    def impl(seq):
+        x = _single_number(seq, f"{name}() argument", empty_ok=True)
+        return [] if x is None else [op(x)]
+
+    register(name, 1, 1)(impl)
+
+
+_register_unary("abs", abs)
+_register_unary("floor", math.floor)
+_register_unary("ceiling", math.ceil)

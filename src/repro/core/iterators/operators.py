@@ -147,14 +147,15 @@ class StringConcatIterator(RuntimeIterator):
 
     def _compile(self) -> Evaluator:
         left, right = (c.evaluator() for c in self.children)
-        return lambda ctx: [_to_concat_str(left(ctx)) + _to_concat_str(right(ctx))]
+        return lambda ctx: [to_concat_str(left(ctx)) + to_concat_str(right(ctx))]
 
 
-def _to_concat_str(seq) -> str:
+def to_concat_str(seq) -> str:
+    """An operand of ``||`` or an argument of ``concat()`` as a string."""
     if not seq:
         return ""
     if len(seq) > 1:
-        raise TypeError_("'||' requires singleton operands")
+        raise TypeError_("string concatenation requires singleton operands")
     return atomic_to_string(seq[0])
 
 

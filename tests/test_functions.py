@@ -34,6 +34,10 @@ SEQUENCE_FNS = [
     ("tail(1)", []),
     ("subsequence((1, 2, 3, 4), 2)", [2, 3, 4]),
     ("subsequence((1, 2, 3, 4), 2, 2)", [2, 3]),
+    # XPath rounds start and length half toward +infinity.
+    ("subsequence((1, 2, 3, 4), 2.5)", [3, 4]),
+    ("subsequence((1, 2, 3, 4, 5), 1.5, 2.5)", [2, 3, 4]),
+    ("subsequence((1, 2, 3, 4), -0.5, 2)", [1]),
     ("distinct-values((1, 2, 2, 1, 3))", [1, 2, 3]),
     ('distinct-values(("a", "a"))', ["a"]),
     ("distinct-values(())", []),
@@ -79,6 +83,9 @@ STRING_FNS = [
     ('upper-case("AbC")', ["ABC"]),
     ('substring("hello", 2)', ["ello"]),
     ('substring("hello", 2, 3)', ["ell"]),
+    ('substring("12345", 2.5)', ["345"]),
+    ('substring("12345", 1.5, 2.6)', ["234"]),
+    ('substring("12345", 0, 3)', ["12"]),
     ('contains("hello", "ell")', [True]),
     ('contains("hello", "xyz")', [False]),
     ('starts-with("hello", "he")', [True]),
@@ -145,6 +152,20 @@ class TestFunctionErrors:
     )
     def test_dynamic_type_errors(self, local_engine, query):
         with pytest.raises((TypeError_, DynamicError)):
+            local_engine.run(query)
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            'concat((1, 2), "a")',
+            "abs((1, 2))",
+            "floor((-1.5, 2))",
+            "ceiling((1, 2))",
+            "round((1, 2))",
+        ],
+    )
+    def test_non_singleton_argument_is_type_error(self, local_engine, query):
+        with pytest.raises(TypeError_):
             local_engine.run(query)
 
     def test_number_of_bad_string_is_nan(self, local_engine):

@@ -1,11 +1,15 @@
 """RDD execution path tests (paper §4.1, §5.6–§5.7): expression
 push-down to Spark transformations, actions for aggregations, seamless
 local/RDD switching, input functions."""
+import json
 import warnings
 
 import pytest
 
 from repro.core import Rumble, RumbleConfig
+
+#: A FLWOR that runs on Spark and returns no item.
+EMPTY_FLWOR = "for $o in parallelize((1, 2)) where $o gt 5 return $o"
 
 
 class TestInputFunctions:
@@ -116,6 +120,57 @@ class TestAggregationActions:
     def test_count_of_filtered_rdd(self, rumble):
         assert rumble.run("count(parallelize(1 to 100)[$$ gt 90])") == [10]
 
+    @pytest.mark.parametrize(
+        "query,expected",
+        [
+            (f"sum({EMPTY_FLWOR}, 5)", [5]),
+            (f"sum({EMPTY_FLWOR})", [0]),
+            (f"avg({EMPTY_FLWOR})", []),
+            (f"min({EMPTY_FLWOR})", []),
+            (f"max({EMPTY_FLWOR})", []),
+        ],
+    )
+    def test_empty_rdd_aggregates_match_local(self, rumble, local_engine, query, expected):
+        assert rumble.compile(query).children[0].supports_rdd(rumble._ctx())
+        assert rumble.run(query) == expected
+        assert local_engine.run(query) == expected
+
+    def test_aggregates_fold_across_partitions(self, rumble, local_engine):
+        for fn in ("sum", "avg", "min", "max"):
+            q = f"{fn}(parallelize((7, 3.5, 12, 1, 9, 4), 4))"
+            assert rumble.run(q) == local_engine.run(q), fn
+        q = 'min(parallelize(("b", "c", "a", "d"), 3))'
+        assert rumble.run(q) == local_engine.run(q) == ["a"]
+
+    @pytest.mark.parametrize("fn", ["min", "max"])
+    def test_min_max_over_malformed_json_file_raise(self, rumble, local_engine, tmp_path, fn):
+        p = tmp_path / "bad.json"
+        p.write_text('{"a": 1}\n{"a": \n{"a": 3}\n')
+        q = f'{fn}(json-file("{p}").a)'
+        with pytest.raises(json.JSONDecodeError):
+            local_engine.run(q)
+        with pytest.raises(Exception, match="JSONDecodeError"):
+            rumble.run(q)
+
+    @pytest.mark.parametrize(
+        "query,expected",
+        [
+            ("exists(parallelize(1 to 100))", [True]),
+            ("empty(parallelize(1 to 100))", [False]),
+            ("head(parallelize(1 to 100))", [1]),
+            (f"exists({EMPTY_FLWOR})", [False]),
+            (f"empty({EMPTY_FLWOR})", [True]),
+            (f"head({EMPTY_FLWOR})", []),
+        ],
+    )
+    def test_first_item_takes_one(self, spark, local_engine, query, expected):
+        eng = Rumble(spark, RumbleConfig(materialization_cap=5))
+        with warnings.catch_warnings(record=True) as w:
+            warnings.simplefilter("always")
+            assert eng.run(query) == expected
+        assert not any("truncated" in str(x.message) for x in w)
+        assert local_engine.run(query) == expected
+
 
 class TestSeamlessSwitching:
     """§5.5: local API over an RDD-backed child materializes, capped."""
@@ -132,15 +187,6 @@ class TestSeamlessSwitching:
             got = eng.run("string-join(parallelize(1 to 100))")
         assert any("truncated" in str(x.message) for x in w)
         assert got == ["12345"]
-
-    def test_materialization_cap_raise_mode(self, spark):
-        from repro.jsoniq.errors import MaterializationCapExceeded
-
-        eng = Rumble(
-            spark, RumbleConfig(materialization_cap=5, warn_on_cap=False)
-        )
-        with pytest.raises(MaterializationCapExceeded):
-            eng.run("string-join(parallelize(1 to 100))")
 
     def test_run_rdd_returns_none_for_local(self, rumble):
         assert rumble.run_rdd("1 + 1") is None
