@@ -59,9 +59,9 @@ class BudgetedClause(ClauseIterator):
         self.item_cap = item_cap
         self.eager = eager
 
-    def apply_local(self, tuples, outer_ctx):
+    def apply_local(self, tuples, outer_ctx, before=()):
         held = self._meter(tuples, isinstance(self.clause, _HOLDING))
-        return self._emit(self.clause.apply_local(held, outer_ctx))
+        return self._emit(self.clause.apply_local(held, outer_ctx, before))
 
     def _emit(self, tuples):
         out = self._meter(tuples, self.eager)

@@ -1,21 +1,16 @@
 """FLWOR clause runtime iterators (paper §4.4–§4.10, §5.8).
 
-Each clause consumes a tuple stream and produces a tuple stream. The
-row-local ones (``for``, ``let``, ``where``) are defined once, over one
-dynamic context per tuple, by :func:`bind_rows`; stream clauses by
-``apply_local(tuples, outer_ctx)`` over ``dict[var, sequence]`` (§5.5).
-
-On DataFrames (§4.3) the tuple stream is a
-:class:`~repro.core.flwor.frame.TupleFrame`. The row-local clauses
-(``for``, ``let``, ``where``) have no DataFrame code of their own: the
-run of them before a stream clause (``group by``, ``order by``,
-``count``) is that clause's ``before``, and
-:func:`~repro.core.flwor.frame.local_pass` runs it through
-``apply_local`` in one Arrow pass, together with the stream clause's
-key encodings. ``apply_df(tframe, outer_ctx, before)`` of a stream
-clause then expresses the clause itself as Spark SQL operations. An
-``order by`` whose keys are all group-by outputs, with no clause
-between, sorts by the encodings the group by kept and runs no pass.
+Each clause consumes a tuple stream and produces one. Every clause is a
+row-local part (``row_clauses``), the §4.7 keys that part encodes
+(``key_specs``) and a step over the whole stream that reads them
+(``stream_local``, ``stream_df``). ``for``, ``let`` and ``where`` are
+their own row-local part, run by :func:`bind_rows` over one dynamic
+context per tuple; ``group by``, ``order by`` and ``count`` define only
+their keys and stream step. :class:`ClauseIterator` holds the only
+runners: ``apply_local`` over dict tuples (§5.5) and ``apply_df`` over
+a :class:`~repro.core.flwor.frame.TupleFrame` (§4.3), whose one Arrow
+pass (:func:`~repro.core.flwor.frame.local_pass`) runs the row-local
+clauses ``before`` the clause, its own and its keys.
 
 The initial ``for`` clause additionally knows how to *start* a tuple
 stream from an RDD of items (the single-column DataFrame of §4.4), and
@@ -23,7 +18,6 @@ from a ``json-file()`` without one.
 """
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Iterable, Iterator
 
 from pyspark.sql import Observation, functions as F
@@ -31,8 +25,6 @@ from pyspark.sql.types import StringType, StructField, StructType
 
 from ..dynamic_context import DynamicContext
 from ..items import (
-    TYPE_EMPTY_GREATEST,
-    TYPE_EMPTY_LEAST,
     TYPE_NUMBER,
     check_orderable_types,
     dumps_seq,
@@ -40,6 +32,7 @@ from ..items import (
     encode_key,
 )
 from ..iterators.base import RuntimeIterator, active_spark
+from ..iterators.basic import VarRefIterator
 from ..query_scope import checkpoint
 from .frame import KEY_FIELDS, TupleFrame, local_pass
 
@@ -47,7 +40,7 @@ LocalTuple = dict  # var name -> sequence of items
 
 
 class ClauseIterator:
-    """Base of all clause runtime iterators."""
+    """Base of all clause runtime iterators, and their only runners."""
 
     def exprs(self) -> list[RuntimeIterator]:
         """The expressions this clause evaluates, in source order."""
@@ -58,18 +51,56 @@ class ClauseIterator:
         it is bound to a single item."""
         return {}
 
-    def apply_local(self, tuples: Iterable[LocalTuple],
-                    outer_ctx: DynamicContext) -> Iterator[LocalTuple]:
-        """Stream clauses override this; a row-local one adapts :func:`bind_rows`."""
-        return apply_rows([self], tuples, outer_ctx)
+    def row_clauses(self) -> list[ClauseIterator]:
+        """The row-local clauses this clause runs on each tuple."""
+        return []
+
+    def key_specs(self) -> list[tuple[RuntimeIterator, bool, str]]:
+        """``(expr, empty_greatest, label)`` of each key the stream step reads."""
+        return []
+
+    def stream_local(self, pairs: Iterator[tuple[LocalTuple, list]]) -> Iterator[LocalTuple]:
+        """The stream step over ``(dict tuple, encoded keys)`` pairs."""
+        return (tup for tup, _ in pairs)
+
+    def stream_df(self, tframe: TupleFrame, key_cols: list[str]) -> TupleFrame:
+        """The stream step over a frame with a ``KEY_STRUCT`` column per key."""
+        return tframe
+
+    def apply_local(self, tuples: Iterable[LocalTuple], outer_ctx: DynamicContext,
+                    before=()) -> Iterator[LocalTuple]:
+        """This clause over dict tuples of the FLWOR's own variables."""
+        clauses = [*before, *self.row_clauses()]
+        bind = bind_rows(clauses)
+        bound = [v for c in clauses for v in c.binds()]
+        encoders = [(expr.evaluator(), eg, label) for expr, eg, label in self.key_specs()]
+
+        def pairs():
+            for tup in tuples:
+                names = dict.fromkeys([*tup, *bound])
+                for ctx in bind(outer_ctx.child(tup)):
+                    yield ({v: ctx.variables[v] for v in names},
+                           [encode_key(evaluate(ctx), empty_greatest=eg, clause=label)
+                            for evaluate, eg, label in encoders])
+
+        return self.stream_local(pairs())
 
     def apply_df(self, tframe: TupleFrame, outer_ctx: DynamicContext,
                  before=()) -> TupleFrame:
-        """Run the row-local clauses ``before`` and this one in one pass."""
-        return local_pass(tframe, [*before, self], outer_ctx)[0]
+        """This clause over a tuple-stream frame: one pass (if any) runs
+        ``before``, the row-local part and the keys, then the stream step."""
+        return self.stream_df(*local_pass(
+            tframe, [*before, *self.row_clauses()], outer_ctx, self.key_specs()))
 
 
-class ForClauseIterator(ClauseIterator):
+class RowLocalClause(ClauseIterator):
+    """A clause that maps one tuple to tuples on its own (§4.4–§4.6)."""
+
+    def row_clauses(self) -> list[ClauseIterator]:
+        return [self]
+
+
+class ForClauseIterator(RowLocalClause):
     """``for $v in e`` — one outgoing tuple per item (§4.4)."""
 
     def __init__(self, var: str, expr: RuntimeIterator,
@@ -131,7 +162,7 @@ class ForClauseIterator(ClauseIterator):
             yield ctx.child({var: [], pos: [0]} if pos else {var: []})
 
 
-class LetClauseIterator(ClauseIterator):
+class LetClauseIterator(RowLocalClause):
     """``let $v := e`` — extended projection without EXPLODE (§4.5)."""
 
     def __init__(self, var: str, expr: RuntimeIterator):
@@ -145,7 +176,7 @@ class LetClauseIterator(ClauseIterator):
         return {self.var: False}
 
 
-class WhereClauseIterator(ClauseIterator):
+class WhereClauseIterator(RowLocalClause):
     """``where e`` — selection by effective boolean value (§4.6)."""
 
     def __init__(self, expr: RuntimeIterator):
@@ -155,8 +186,6 @@ class WhereClauseIterator(ClauseIterator):
         return [self.expr]
 
 
-#: The clauses that map one tuple to tuples on their own.
-ROW_LOCAL = (ForClauseIterator, LetClauseIterator, WhereClauseIterator)
 _TRUE, _FALSE = [True], [False]
 
 
@@ -193,17 +222,6 @@ def bind_rows(clauses: list[ClauseIterator]):
     return bind
 
 
-def apply_rows(clauses: list[ClauseIterator], tuples: Iterable[LocalTuple],
-               outer_ctx: DynamicContext) -> Iterator[LocalTuple]:
-    """:func:`bind_rows` over dict tuples of the FLWOR's own variables."""
-    bind = bind_rows(clauses)
-    bound = [v for c in clauses for v in c.binds()]
-    for tup in tuples:
-        names = dict.fromkeys([*tup, *bound])
-        for ctx in bind(outer_ctx.child(tup)):
-            yield {v: ctx.variables[v] for v in names}
-
-
 class GroupByClauseIterator(ClauseIterator):
     """``group by $k (:= e)?ⁿ`` (§4.7).
 
@@ -231,8 +249,14 @@ class GroupByClauseIterator(ClauseIterator):
     def _mode(self, var: str) -> str:
         return self.aggregations.get(var, "materialize")
 
-    # -- local ------------------------------------------------------------
-    def apply_local(self, tuples, outer_ctx):
+    def row_clauses(self) -> list[ClauseIterator]:
+        # A := key is bound like a let before it is encoded.
+        return [LetClauseIterator(v, e) for v, e in self.keys if e is not None]
+
+    def key_specs(self):
+        return [(VarRefIterator(v), False, "group-by key") for v, _ in self.keys]
+
+    def stream_local(self, pairs):
         # Aggregation modes matter for memory here exactly as they do
         # for Spark (§4.7): count-mode variables accumulate an integer,
         # dropped variables accumulate nothing, and only materialized
@@ -240,63 +264,29 @@ class GroupByClauseIterator(ClauseIterator):
         groups: dict[tuple, dict] = {}
         key_vars = [v for v, _ in self.keys]
         modes: dict[str, str] | None = None
-        for tup in tuples:
-            tup = dict(tup)
-            ctx = outer_ctx.child(tup)
-            for var, expr in self.keys:
-                if expr is not None:
-                    tup[var] = ctx.variables[var] = expr.materialize(ctx)
+        for tup, enc in pairs:
             if modes is None:
-                modes = {
-                    v: ("key" if v in key_vars else self._mode(v)) for v in tup
-                }
-            enc = tuple(
-                encode_key(tup[var], clause="group-by key") for var, _ in self.keys
-            )
-            grp = groups.get(enc)
+                modes = {v: "key" if v in key_vars else self._mode(v) for v in tup}
+            grp = groups.get(enc := tuple(enc))
             if grp is None:
-                grp = {}
-                for v, seq in tup.items():
-                    mode = modes[v]
-                    if mode == "key":
-                        grp[v] = seq
-                    elif mode == "count":
-                        grp[v] = len(seq)
-                    elif mode == "materialize":
-                        grp[v] = list(seq)
-                groups[enc] = grp
-            else:
-                for v, seq in tup.items():
-                    mode = modes[v]
-                    if mode == "count":
-                        grp[v] += len(seq)
-                    elif mode == "materialize":
-                        grp[v].extend(seq)
-        for grp in groups.values():
-            out = {}
-            for v, acc in grp.items():
-                mode = modes[v] if modes else "materialize"
+                grp = groups[enc] = {v: tup[v] if m == "key" else 0 if m == "count" else []
+                                     for v, m in modes.items() if m != "drop"}
+            for v, seq in tup.items():
+                mode = modes[v]
                 if mode == "count":
-                    out[v] = [acc]
-                else:
-                    out[v] = acc
-            yield out
+                    grp[v] += len(seq)
+                elif mode == "materialize":
+                    grp[v].extend(seq)
+        for grp in groups.values():
+            yield {v: [acc] if modes[v] == "count" else acc for v, acc in grp.items()}
 
-    # -- DataFrame ---------------------------------------------------------
-    def apply_df(self, tframe, outer_ctx, before=()):
-        from ..iterators.basic import VarRefIterator
-
-        # 1. One pass runs `before`, binds the := keys like lets and
-        # encodes every key into the typed columns of §4.7.
+    def stream_df(self, tframe, key_cols):
+        # The pass has bound the := keys like lets and encoded every key
+        # into the typed columns of §4.7 (or a group by before kept them).
         key_vars = [v for v, _ in self.keys]
-        lets = [LetClauseIterator(v, e) for v, e in self.keys if e is not None]
-        work, key_cols = local_pass(
-            tframe, [*before, *lets], outer_ctx,
-            keys=[(VarRefIterator(v), False, "group-by key") for v in key_vars])
-
         group_cols = [F.col(f"{k}.{f}").alias(f"{k}_{f}") for k in key_cols for f in KEY_FIELDS]
 
-        # 2. Aggregate. A materialized variable's cells are merged in the
+        # Aggregate. A materialized variable's cells are merged in the
         # JVM: the JSON arrays' bodies, the empty ones dropped, joined by
         # commas (the paper's SEQUENCE() UDAF, §4.7). Each key and each
         # count also keeps its §4.7 encoding as a column for an
@@ -304,19 +294,19 @@ class GroupByClauseIterator(ClauseIterator):
         aggs, cells, keys = [], {}, {}
         single_out: set[str] = set()
         for var, k in zip(key_vars, key_cols):
-            canon = work.fresh_col(var + "_canon")
+            canon = tframe.fresh_col(var + "_canon")
             aggs.append(F.first(F.col(f"{k}.canon")).alias(canon))
             cells[var] = F.col(canon)
             keys[var] = F.struct(*[F.col(f"{k}_{f}").alias(f) for f in KEY_FIELDS],
                                  F.col(canon).alias("canon"))
             single_out.add(var)
-        for var, col in work.columns.items():
+        for var, col in tframe.columns.items():
             if var in key_vars:
                 continue
             mode = self._mode(var)
             if mode == "drop":
                 continue
-            out = work.fresh_col(var + "_agg")
+            out = tframe.fresh_col(var + "_agg")
             if mode == "count":
                 aggs.append(F.count(F.col(col)).alias(out))
                 cells[var] = F.concat(F.lit("["), F.col(out).cast("string"), F.lit("]"))
@@ -332,12 +322,12 @@ class GroupByClauseIterator(ClauseIterator):
                     F.lit("["), F.array_join(F.filter(bodies, lambda b: b != ""), ","),
                     F.lit("]")).alias(out))
                 cells[var] = F.col(out)
-        out_columns = {var: work.fresh_col(var) for var in cells}
-        key_columns = {var: work.fresh_col(var + "_key") for var in keys}
-        grouped = work.df.groupBy(*group_cols).agg(*aggs).select(
+        out_columns = {var: tframe.fresh_col(var) for var in cells}
+        key_columns = {var: tframe.fresh_col(var + "_key") for var in keys}
+        grouped = tframe.df.groupBy(*group_cols).agg(*aggs).select(
             *[c.alias(out_columns[v]) for v, c in cells.items()],
             *[c.alias(key_columns[v]) for v, c in keys.items()])
-        return TupleFrame(grouped, out_columns, single_out, work._fresh, key_columns)
+        return TupleFrame(grouped, out_columns, single_out, tframe._fresh, key_columns)
 
 
 class OrderByClauseIterator(ClauseIterator):
@@ -352,54 +342,21 @@ class OrderByClauseIterator(ClauseIterator):
     def exprs(self) -> list[RuntimeIterator]:
         return [e for e, _, _ in self.specs]
 
-    # -- local ---------------------------------------------------------------
-    def apply_local(self, tuples, outer_ctx):
-        rows = []
-        codes: list[set[int]] = [set() for _ in self.specs]
-        for tup in tuples:
-            ctx = outer_ctx.child(tup)
-            keys = []
-            for i, (expr, _asc, eg) in enumerate(self.specs):
-                enc = encode_key(
-                    expr.materialize(ctx), empty_greatest=eg, clause="order-by key"
-                )
-                codes[i].add(enc[0])
-                keys.append(enc)
-            rows.append((keys, tup))
-        for i, cs in enumerate(codes):
-            check_orderable_types(cs, f"order-by key #{i + 1}")
+    def key_specs(self):
+        return [(expr, eg, "order-by key") for expr, _, eg in self.specs]
+
+    def stream_local(self, pairs):
+        rows = list(pairs)
+        for i in range(len(self.specs)):
+            check_orderable_types({keys[i][0] for _, keys in rows}, f"order-by key #{i + 1}")
         # Stable multi-key sort: sort by the last spec first.
         for i in reversed(range(len(self.specs))):
             asc = self.specs[i][1]
-            rows.sort(key=lambda r, i=i: r[0][i], reverse=not asc)
-        for _keys, tup in rows:
+            rows.sort(key=lambda r, i=i: r[1][i], reverse=not asc)
+        for tup, _keys in rows:
             yield tup
 
-    # -- DataFrame --------------------------------------------------------------
-    def apply_df(self, tframe, outer_ctx, before=()):
-        from ..iterators.basic import VarRefIterator
-
-        names = [e.name if isinstance(e, VarRefIterator) else None for e, _, _ in self.specs]
-        if not before and all(n in tframe.keys for n in names):
-            # Every key is a variable whose encoding Catalyst already
-            # holds (a group-by output): no Python pass. Only the empty
-            # sequence's code depends on the spec.
-            tframe = replace(tframe)
-            key_cols = [tframe.fresh_col(f"key{i}") for i in range(len(names))]
-            keyed = {}
-            for k, n, (_, _, eg) in zip(key_cols, names, self.specs):
-                key = F.col(tframe.keys[n])
-                if eg:
-                    code = key.getField("code")
-                    key = key.withField("code", F.when(code == TYPE_EMPTY_LEAST, TYPE_EMPTY_GREATEST)
-                                        .otherwise(code))
-                keyed[k] = key
-            tframe.df = tframe.df.withColumns(keyed)
-        else:
-            tframe, key_cols = local_pass(
-                tframe, before, outer_ctx,
-                keys=[(expr, eg, "order-by key") for expr, _, eg in self.specs])
-
+    def stream_df(self, tframe, key_cols):
         # First pass (§4.8): one job evaluates the keys, checkpoints the
         # keyed frame and observes the type codes under each key.
         # Incompatible types throw before sorting. The sort reads the
@@ -431,24 +388,18 @@ class CountClauseIterator(ClauseIterator):
     def __init__(self, var: str):
         self.var = var
 
-    def apply_local(self, tuples, outer_ctx):
-        for i, tup in enumerate(tuples, start=1):
-            out = dict(tup)
-            out[self.var] = [i]
-            yield out
+    def stream_local(self, pairs):
+        for i, (tup, _) in enumerate(pairs, start=1):
+            tup[self.var] = [i]
+            yield tup
 
-    def apply_df(self, tframe, outer_ctx, before=()):
-        if before:
-            tframe = local_pass(tframe, before, outer_ctx)[0]
+    def stream_df(self, tframe, key_cols):
         new = tframe.fresh_col(self.var)
         df = tframe.df.select(*tframe.columns.values())
         schema = StructType(list(df.schema.fields) + [StructField(new, StringType(), False)])
         rows = df.rdd.zipWithIndex().map(
             lambda pair: tuple(pair[0]) + (dumps_seq([pair[1] + 1]),)
         )
-        spark = active_spark()
-        df = spark.createDataFrame(rows, schema=schema, verifySchema=False)
-        columns = dict(tframe.columns)
-        columns[self.var] = new
-        single = set(tframe.single_item) | {self.var}
-        return TupleFrame(df, columns, single, tframe._fresh)
+        df = active_spark().createDataFrame(rows, schema=schema, verifySchema=False)
+        return TupleFrame(df, {**tframe.columns, self.var: new},
+                          tframe.single_item | {self.var}, tframe._fresh)

@@ -7,18 +7,19 @@ clauses exchange tuple streams. This iterator glues the two worlds:
   start from an RDD (§5.8). The FLWOR splits after its last *stream*
   clause (``group by``, ``order by`` or ``count``), the clauses that
   need the whole tuple stream. Up to that split the tuple stream flows
-  through the clauses as a :class:`TupleFrame`: each stream clause
-  runs the row-local clauses before it and its own keys in one Arrow
-  pass (``frame.local_pass``), then its Spark SQL operation. The
-  row-local tail after it (``for``, ``let`` and ``where``) runs in the
-  return clause's pass, which maps each tuple to its output items (the
-  §4.10 ``flatMap``, one ``mapPartitions`` per partition). Without a
-  stream clause no DataFrame is built: the pass binds the initial
-  ``for``'s items. Either way the result is an RDD of items that parent
-  expressions consume without materialization.
-* **Local execution** — otherwise the same clauses run locally (§5.5);
-  plain dict tuples cross the stream clauses. Every runner builds one
-  dynamic context per tuple for ``clauses.bind_rows``.
+  through the clauses as a :class:`TupleFrame`: each stream clause's
+  ``apply_df`` runs the row-local clauses before it and its own keys
+  in one Arrow pass (``frame.local_pass``), then its Spark SQL
+  operation. The row-local tail after it (``for``, ``let`` and
+  ``where``) runs in the return clause's pass, which maps each tuple to
+  its output items (the §4.10 ``flatMap``, one ``mapPartitions`` per
+  partition). Without a stream clause no DataFrame is built: the pass
+  binds the initial ``for``'s items. Either way the result is an RDD of
+  items that parent expressions consume without materialization.
+* **Local execution** — otherwise the same segments run locally
+  (§5.5) through ``apply_local``; dict tuples cross the stream clauses.
+  Every runner builds one dynamic context per tuple for
+  ``clauses.bind_rows``.
 """
 from __future__ import annotations
 
@@ -27,7 +28,7 @@ from typing import Iterable, Iterator
 from ..dynamic_context import DynamicContext
 from ..items import Item, loads_seq
 from ..iterators.base import RuntimeIterator, active_spark
-from .clauses import ROW_LOCAL, ClauseIterator, ForClauseIterator, apply_rows, bind_rows
+from .clauses import ClauseIterator, ForClauseIterator, RowLocalClause, bind_rows
 from .frame import TupleFrame
 
 
@@ -66,21 +67,27 @@ class FLWORIterator(RuntimeIterator):
 
     def _stream_end(self) -> int:
         """One past the last stream clause (not row-local); 0 when there is none."""
-        ends = [i + 1 for i, c in enumerate(self.clauses) if not isinstance(c, ROW_LOCAL)]
+        ends = [i + 1 for i, c in enumerate(self.clauses) if not isinstance(c, RowLocalClause)]
         return ends[-1] if ends else 0
+
+    def _segments(self, start: int):
+        """Each stream clause from ``start`` on, with the row-local
+        clauses before it."""
+        before: list[ClauseIterator] = []
+        for clause in self.clauses[start:self._stream_end()]:
+            if isinstance(clause, RowLocalClause):
+                before.append(clause)
+            else:
+                yield clause, before
+                before = []
 
     def _build_tframe(self, ctx: DynamicContext) -> TupleFrame:
         """The tuple-stream DataFrame of the clauses up to the last stream
         clause. Each stream clause runs the row-local clauses before it
         in its own pass."""
         tframe = self.clauses[0].start_df(ctx)
-        before: list[ClauseIterator] = []
-        for clause in self.clauses[1:self._stream_end()]:
-            if isinstance(clause, ROW_LOCAL):
-                before.append(clause)
-            else:
-                tframe = clause.apply_df(tframe, ctx, before)
-                before = []
+        for clause, before in self._segments(1):
+            tframe = clause.apply_df(tframe, ctx, before)
         return tframe
 
     def rdd_count(self, ctx: DynamicContext) -> int:
@@ -122,14 +129,11 @@ class FLWORIterator(RuntimeIterator):
     # Local path
     # ------------------------------------------------------------------
     def _iterate_local(self, ctx: DynamicContext) -> Iterator[Item]:
-        tuples, before = [{}], []  # dict tuples cross each stream clause
-        for clause in self.clauses:
-            if isinstance(clause, ROW_LOCAL):
-                before.append(clause)
-                continue
-            tuples = clause.apply_local(apply_rows(before, tuples, ctx) if before else tuples, ctx)
-            before = []
-        yield from self._run_tail(before)(ctx.child(tup) for tup in tuples)
+        tuples = [{}]  # dict tuples cross each stream clause
+        for clause, before in self._segments(0):
+            tuples = clause.apply_local(tuples, ctx, before)
+        yield from self._run_tail(self.clauses[self._stream_end():])(
+            ctx.child(tup) for tup in tuples)
 
     def _tree_label(self) -> str:
         return f"[{', '.join(type(c).__name__ for c in self.clauses)}]"

@@ -13,8 +13,8 @@ synthetic names) and tracks which variables are guaranteed single-item
 per tuple (``for``-bound) — the precondition for the §4.7 COUNT
 push-down. Where Catalyst already computed a variable's §4.7 encoding
 (a group-by's keys and counts), the frame also keeps it as a
-``KEY_STRUCT`` column, so that an ``order by`` of that variable needs no
-Python pass.
+``KEY_STRUCT`` column, so that a stream clause keyed by that variable
+(an ``order by`` or another ``group by``) needs no Python pass.
 
 This module is the one tuple-cell codec. :func:`local_pass` is the
 paper's ``EVALUATE_EXPRESSION`` UDF for a whole segment: one Arrow pass
@@ -22,14 +22,15 @@ decodes each row's cells once into the tuple's dynamic context, runs it
 through the row-local clauses (executors never nest Spark jobs, §5.6),
 and writes the cells in scope plus the §4.7 typed encoding of the
 following stream clause's keys. A cell that no clause of the segment
-binds is written back as it came in.
+binds is written back as it came in. It is the one place a segment
+runs on Spark: ``ClauseIterator.apply_df`` calls it for every clause.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import pyarrow as pa
-from pyspark.sql import DataFrame
+from pyspark.sql import DataFrame, functions as F
 from pyspark.sql.pandas.types import to_arrow_schema
 from pyspark.sql.types import (
     DoubleType,
@@ -40,7 +41,8 @@ from pyspark.sql.types import (
 )
 
 from ..dynamic_context import DynamicContext
-from ..items import dumps_seq, encode_key, loads_seq
+from ..items import TYPE_EMPTY_GREATEST, TYPE_EMPTY_LEAST, dumps_seq, encode_key, loads_seq
+from ..iterators.basic import VarRefIterator
 
 #: Schema of one encoded grouping/ordering key (§4.7): the three native
 #: columns the paper prescribes, an integer residual (``items.encode_key``)
@@ -115,7 +117,25 @@ def local_pass(tframe: TupleFrame, clauses, outer_ctx: DynamicContext,
     goes through the clauses; every outgoing tuple writes one cell per
     variable in scope and one ``KEY_STRUCT`` per ``(expr,
     empty_greatest, label)`` in ``keys``, the §4.7 encoding of ``expr``
-    in that tuple. Returns the new frame and the key columns."""
+    in that tuple. Returns the new frame and the key columns.
+
+    With no clauses and every key a variable with a column in
+    ``tframe.keys`` (a group-by's output), or no key, no pass runs: the
+    key columns are built from those columns in the JVM."""
+    names = [e.name if isinstance(e, VarRefIterator) else None for e, _, _ in keys]
+    if not clauses and all(n in tframe.keys for n in names):
+        out = replace(tframe)
+        key_cols = [out.fresh_col(f"key{i}") for i in range(len(keys))]
+        keyed = {}
+        for k, n, (_, empty_greatest, _) in zip(key_cols, names, keys):
+            key = keyed[k] = F.col(tframe.keys[n])
+            if empty_greatest:  # only the empty sequence's code depends on it
+                code = key.getField("code")
+                keyed[k] = key.withField("code", F.when(
+                    code == TYPE_EMPTY_LEAST, TYPE_EMPTY_GREATEST).otherwise(code))
+        if keyed:
+            out.df = out.df.withColumns(keyed)
+        return out, key_cols
     out = TupleFrame(tframe.df, dict(tframe.columns), set(tframe.single_item), tframe._fresh)
     for clause in clauses:
         for var, single in clause.binds().items():

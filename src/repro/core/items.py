@@ -37,7 +37,7 @@ import math
 import operator
 from typing import Any
 
-from ..jsoniq.errors import NonAtomicKeyError, TypeError_
+from ..jsoniq.errors import DynamicError, NonAtomicKeyError, TypeError_
 
 Item = Any  # object|array|str|int|float|bool|None
 Sequence = list
@@ -74,6 +74,15 @@ def is_atomic(item: Item) -> bool:
 def is_number(item: Item) -> bool:
     # bool is an int subclass in Python but a distinct JDM type.
     return isinstance(item, (int, float)) and not isinstance(item, bool)
+
+
+def to_integer(x, what: str) -> int:
+    """``int(x)`` of a number. NaN and ±INF have no integer value: they
+    raise a JSONiq DynamicError, not Python's ValueError/OverflowError."""
+    try:
+        return int(x)
+    except (ValueError, OverflowError) as exc:
+        raise DynamicError(f"{what} has no integer value: {x}") from exc
 
 
 def kind(item: Item) -> str:

@@ -6,7 +6,7 @@ from typing import Iterator
 
 from ...jsoniq.errors import DynamicError, TypeError_
 from ..dynamic_context import DynamicContext
-from ..items import Item, effective_boolean_value, is_number
+from ..items import Item, effective_boolean_value, is_number, to_integer
 from .base import Evaluator, RuntimeIterator
 
 
@@ -104,7 +104,7 @@ class RangeIterator(RuntimeIterator):
             return
         if len(lo) > 1 or len(hi) > 1 or not is_number(lo[0]) or not is_number(hi[0]):
             raise TypeError_("'to' requires singleton numbers")
-        yield from range(int(lo[0]), int(hi[0]) + 1)
+        yield from range(to_integer(lo[0], "'to' bound"), to_integer(hi[0], "'to' bound") + 1)
 
 
 class IfIterator(RuntimeIterator):

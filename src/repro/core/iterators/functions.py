@@ -15,13 +15,14 @@ result is a local singleton and "the user does not see the difference".
 from __future__ import annotations
 
 import decimal
+import itertools
 import math
 import operator
 from typing import Callable, Iterable
 
 from ...jsoniq.errors import DynamicError, StaticError, TypeError_
 from ..dynamic_context import DynamicContext
-from ..items import Item, effective_boolean_value, is_atomic, is_number, kind
+from ..items import Item, effective_boolean_value, is_atomic, is_number, kind, to_integer
 from .base import Evaluator, RuntimeIterator
 from .operators import atomic_to_string, to_concat_str
 
@@ -219,19 +220,9 @@ def _fn_tail(args, ctx):
 
 @register("subsequence", 2, 3, lazy=True)
 def _fn_subsequence(args, ctx):
-    lo = _xpath_round(_single_number(args[1].materialize(ctx), "subsequence start"))
-    hi = None
-    if len(args) == 3:
-        hi = lo + _xpath_round(_single_number(args[2].materialize(ctx), "subsequence length"))
-    out = []
-    pos = 0
-    for item in args[0].iter_items(ctx):
-        pos += 1
-        if pos >= lo and (hi is None or pos < hi):
-            out.append(item)
-        elif hi is not None and pos >= hi:
-            break
-    return out
+    length = args[2].materialize(ctx) if len(args) == 3 else None
+    lo, hi = _positions(args[1].materialize(ctx), length, "subsequence")
+    return list(itertools.islice(args[0].iter_items(ctx), lo, hi))
 
 
 @register("distinct-values", 1, 1, lazy=True)
@@ -325,7 +316,7 @@ def _fn_integer(seq):
         if is_number(item) or isinstance(item, str):
             return [int(float(item)) if not isinstance(item, int) else item]
         raise TypeError_(f"cannot cast {kind(item)} to integer")
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         raise DynamicError(f"cannot cast {item!r} to integer") from exc
 
 
@@ -391,11 +382,8 @@ def _fn_upper(seq):
 @register("substring", 2, 3)
 def _fn_substring(seq, start, length=None):
     s = _single_string(seq, "substring() argument") or ""
-    lo = _xpath_round(_single_number(start, "substring start")) - 1
-    if length is None:
-        return [s[max(lo, 0):]]
-    hi = lo + _xpath_round(_single_number(length, "substring length"))
-    return [s[max(lo, 0):max(hi, 0)]]
+    lo, hi = _positions(start, length, "substring")
+    return [s[lo:hi]]
 
 
 @register("contains", 2, 2)
@@ -440,12 +428,33 @@ def _fn_string_join(args, ctx):
 def _xpath_round(x, digits: int = 0):
     """``x`` rounded to ``digits`` decimals, ties toward positive
     infinity as XPath rounds: round(2.5)=3, round(-2.5)=-2 — neither
-    Python's banker's rounding nor plain half-away-from-zero."""
-    rounding = decimal.ROUND_HALF_UP if x >= 0 else decimal.ROUND_HALF_DOWN
-    d = decimal.Decimal(str(x)).quantize(
-        decimal.Decimal(1).scaleb(-digits), rounding=rounding
-    )
+    Python's banker's rounding nor plain half-away-from-zero. NaN and
+    ±INF round to themselves."""
+    if not _finite(x):
+        return x
+    d = decimal.Decimal(str(x))
+    if digits < -d.as_tuple().exponent:  # there are digits to round away
+        rounding = decimal.ROUND_HALF_UP if x >= 0 else decimal.ROUND_HALF_DOWN
+        d = d.quantize(decimal.Decimal(1).scaleb(-digits), rounding=rounding)
     return int(d) if digits <= 0 else float(d)
+
+
+def _positions(start, length, what: str) -> tuple[int, int | None]:
+    """The 0-based slice of the 1-based positions p with round(start) <=
+    p < round(start) + round(length), as XPath's substring and
+    subsequence select them. A NaN bound selects nothing."""
+    lo = _xpath_round(_single_number(start, f"{what} start"))
+    hi = math.inf
+    if length is not None:
+        hi = lo + _xpath_round(_single_number(length, f"{what} length"))
+    if not lo < hi:
+        return 0, 0
+    return max(lo, 1) - 1, None if hi == math.inf else max(hi, 1) - 1
+
+
+def _finite(x) -> bool:
+    # math.isfinite would overflow on an int beyond the double range.
+    return isinstance(x, int) or math.isfinite(x)
 
 
 @register("round", 1, 2)
@@ -453,7 +462,8 @@ def _fn_round(seq, precision=None):
     x = _single_number(seq, "round() argument", empty_ok=True)
     if x is None:
         return []
-    digits = 0 if precision is None else int(_single_number(precision, "round precision"))
+    digits = 0 if precision is None else to_integer(
+        _single_number(precision, "round precision"), "round precision")
     return [_xpath_round(x, digits)]
 
 
@@ -466,5 +476,5 @@ def _register_unary(name: str, op: Callable) -> None:
 
 
 _register_unary("abs", abs)
-_register_unary("floor", math.floor)
-_register_unary("ceiling", math.ceil)
+_register_unary("floor", lambda x: math.floor(x) if _finite(x) else x)
+_register_unary("ceiling", lambda x: math.ceil(x) if _finite(x) else x)

@@ -162,7 +162,7 @@ class PredicateIterator(RuntimeIterator):
             for pos, item in enumerate(target(ctx), 1):
                 result = pred(ctx.with_context_item(item, pos))
                 if len(result) == 1 and is_number(result[0]):
-                    keep = pos == int(result[0])
+                    keep = pos == result[0]
                 else:
                     keep = effective_boolean_value(result)
                 if keep:

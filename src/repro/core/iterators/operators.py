@@ -13,6 +13,7 @@ from ..items import (
     is_atomic,
     is_number,
     kind,
+    to_integer,
     value_compare,
 )
 from .base import Evaluator, RuntimeIterator
@@ -29,8 +30,8 @@ def _idiv(x, y):
     # XQuery idiv truncates toward zero.
     if y == 0:
         raise DynamicError("integer division by zero")
-    q = abs(x) // abs(y)
-    return int(q) if (x >= 0) == (y >= 0) else -int(q)
+    q = to_integer(abs(x) // abs(y), "idiv quotient")
+    return q if (x >= 0) == (y >= 0) else -q
 
 
 def _mod(x, y):

@@ -10,17 +10,19 @@ dominates a query's time:
   one tuple context (``ForClauseIterator.bind_each``);
 * the segment pass (``frame.segment_rows``, the per-row work of
   ``frame.local_pass``) of the ``readme-small`` query: its ``where``
-  plus its group key, over encoded rows.
+  plus its group key, over encoded rows;
+* the whole ``readme-small`` query on the local engine
+  (``force_local``), over a ``json-file()``: the path the Fig. 12
+  single-threaded baselines run, which no benchmark times.
 """
+import json
 import sys
 
 from repro import synth_data
 from repro.core import Rumble, RumbleConfig
 from repro.core.dynamic_context import DynamicContext
-from repro.core.flwor.clauses import LetClauseIterator
 from repro.core.flwor.frame import segment_rows
 from repro.core.items import dumps_seq, encode_key
-from repro.core.iterators.basic import VarRefIterator
 
 ROWS = 200
 #: Calls measured when the budget was set (2,115, 10.6 per row), plus 10%.
@@ -29,6 +31,8 @@ CALL_BUDGET = 2_327
 #: Calls measured when the budget was set (3,119, 15.6 per row), plus 10%.
 #: Unchanged cells pass through the segment without a decode-encode trip.
 SEGMENT_CALL_BUDGET = 3_431
+#: Calls measured when the budget was set (4,077, 20.4 per row), plus 10%.
+LOCAL_CALL_BUDGET = 4_484
 
 QUERY = (
     'for $c in json-file("unused.json") '
@@ -86,12 +90,10 @@ def test_segment_call_budget():
     eng = Rumble(None, RumbleConfig(force_local=True))
     flwor = eng.compile(README_QUERY)
     _, where, group = flwor.clauses[:3]
-    # The pass before the group by, as GroupByClauseIterator.apply_df
-    # builds it: the where, the := key as a let, the key's encoding.
-    lets = [LetClauseIterator(v, e) for v, e in group.keys if e is not None]
-    keys = [(VarRefIterator(v), False, "group-by key") for v, _ in group.keys]
-    run = segment_rows([where, *lets], DynamicContext(config=eng.config),
-                       ["i"], ["i", "t"], keys)
+    # The pass before the group by, as its apply_df builds it: the
+    # where, the := key as a let, the key's encoding.
+    run = segment_rows([where, *group.row_clauses()], DynamicContext(config=eng.config),
+                       ["i"], ["i", "t"], group.key_specs())
     rows = [(dumps_seq([o]),) for o in objs]
     expected = [
         [dumps_seq([o]), dumps_seq([o["target"]]),
@@ -104,3 +106,24 @@ def test_segment_call_budget():
     calls = count_calls(lambda: out.extend(run(rows)))
     assert out == expected
     assert calls <= SEGMENT_CALL_BUDGET, f"{calls / ROWS:.1f} Python calls per row"
+
+
+def test_local_call_budget(tmp_path):
+    objs = synth_data.confusion_pandas(ROWS, seed=5).to_dict(orient="records")
+    path = tmp_path / "confusion.json"
+    path.write_text("".join(json.dumps(o) + "\n" for o in objs))
+    eng = Rumble(None, RumbleConfig(force_local=True))
+    flwor = eng.compile(README_QUERY.replace("unused.json", str(path)))
+    counts: dict[str, int] = {}
+    for o in objs:
+        if o["guess"] == o["target"]:
+            counts[o["target"]] = counts.get(o["target"], 0) + 1
+    expected = [{"target": t, "n": n}
+                for t, n in sorted(counts.items(), key=lambda kv: -kv[1])]
+    ctx = DynamicContext(config=eng.config)
+    assert flwor.materialize(ctx) == expected  # also builds the evaluators
+
+    out = []
+    calls = count_calls(lambda: out.extend(flwor.materialize(DynamicContext(config=eng.config))))
+    assert out == expected
+    assert calls <= LOCAL_CALL_BUDGET, f"{calls / ROWS:.1f} Python calls per row"

@@ -147,6 +147,8 @@ GROUP_ORDER_QUERIES = [
     "for $x in {big} group by $k := $x order by $k return [$k, count($x)]",
     "for $x in {big} group by $k := $x order by $k descending return [$k, count($x)]",
     "for $x in {big} group by $k := $x order by count($x) descending, $k return $k",
+    # a group by whose key is the previous group by's key
+    "for $o in {src} group by $k := $o.g group by $k order by $k return [$k, count($o)]",
 ]
 
 

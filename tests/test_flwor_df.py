@@ -285,6 +285,17 @@ class TestClausesOnDataFrames:
         assert python_nodes(df) == ["MapInArrow"]
         assert sorted(r[0] for r in df.collect()) == ["[1]", "[2]"]
 
+    def test_regroup_by_group_key_runs_no_second_pass(self, rumble):
+        # The second group by's key is the first one's output, whose
+        # encoding the JVM holds: only the first segment runs Python.
+        it = rumble.compile(
+            "for $o in parallelize(({\"g\": 1}, {\"g\": 2}, {\"g\": 1})) "
+            "group by $k := $o.g group by $k return [$k, count($o)]"
+        )
+        df = it._build_tframe(rumble._ctx()).df
+        assert python_nodes(df) == ["MapInArrow"]
+        assert sorted(r[0] for r in df.collect()) == ["[1]", "[2]"]
+
     def test_readme_prefix_is_one_pass_per_segment(self, rumble, confusion_path,
                                                    monkeypatch):
         # `where` plus the group-by keys form one segment. The order-by

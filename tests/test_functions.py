@@ -38,6 +38,10 @@ SEQUENCE_FNS = [
     ("subsequence((1, 2, 3, 4), 2.5)", [3, 4]),
     ("subsequence((1, 2, 3, 4, 5), 1.5, 2.5)", [2, 3, 4]),
     ("subsequence((1, 2, 3, 4), -0.5, 2)", [1]),
+    # A NaN bound selects nothing; an infinite length runs to the end.
+    ('subsequence((1, 2), number("x"))', []),
+    ('subsequence((1, 2, 3), 2, number("INF"))', [2, 3]),
+    ('subsequence((1, 2, 3), 1, number("x"))', []),
     ("distinct-values((1, 2, 2, 1, 3))", [1, 2, 3]),
     ('distinct-values(("a", "a"))', ["a"]),
     ("distinct-values(())", []),
@@ -86,6 +90,10 @@ STRING_FNS = [
     ('substring("12345", 2.5)', ["345"]),
     ('substring("12345", 1.5, 2.6)', ["234"]),
     ('substring("12345", 0, 3)', ["12"]),
+    ('substring("abc", number("x"))', [""]),
+    ('substring("abcde", 2, number("INF"))', ["bcde"]),
+    ('substring("abcde", -number("INF"), number("INF"))', [""]),
+    ('substring("abcde", 2, number("x"))', [""]),
     ('contains("hello", "ell")', [True]),
     ('contains("hello", "xyz")', [False]),
     ('starts-with("hello", "he")', [True]),
@@ -108,6 +116,12 @@ NUMERIC_FNS = [
     ("floor(2.9)", [2]),
     ("ceiling(2.1)", [3]),
     ("floor(())", []),
+    ("round(1.5, 400)", [1.5]),
+    ("round(12345, -2)", [12300]),
+    ('round(number("INF"))', [float("inf")]),
+    ('round(-number("INF"))', [float("-inf")]),
+    ('floor(number("INF"))', [float("inf")]),
+    ('ceiling(-number("INF"))', [float("-inf")]),
 ]
 
 
@@ -148,6 +162,14 @@ class TestFunctionErrors:
             'integer("nope")',
             "distinct-values(({}, {}))",
             'lower-case(1)',
+            # NaN and ±INF have no integer value
+            'integer(number("INF"))',
+            'integer(-number("INF"))',
+            'number("INF") idiv 2',
+            'number("x") idiv 2',
+            '1 to number("INF")',
+            'number("x") to 3',
+            'round(1.5, number("x"))',
         ],
     )
     def test_dynamic_type_errors(self, local_engine, query):
@@ -167,6 +189,13 @@ class TestFunctionErrors:
     def test_non_singleton_argument_is_type_error(self, local_engine, query):
         with pytest.raises(TypeError_):
             local_engine.run(query)
+
+    @pytest.mark.parametrize("fn", ["round", "floor", "ceiling"])
+    def test_rounding_nan_is_nan(self, local_engine, fn):
+        import math
+
+        (got,) = local_engine.run(f'{fn}(number("x"))')
+        assert math.isnan(got)
 
     def test_number_of_bad_string_is_nan(self, local_engine):
         import math

@@ -108,6 +108,11 @@ PREDICATES = [
     ("(1, 2, 3)[()]", []),
     # numeric predicate expression selects by position
     ("(10, 20, 30)[1 + 1]", [20]),
+    # a position is compared exactly: no item sits at 1.5, NaN or INF
+    ("(1, 2, 3)[2.0]", [2]),
+    ("(1, 2, 3)[1.5]", []),
+    ('(1, 2, 3)[number("x")]', []),
+    ('(1, 2, 3)[number("INF")]', []),
 ]
 
 CONSTRUCTORS = [
