@@ -435,8 +435,12 @@ def _xpath_round(x, digits: int = 0):
     d = decimal.Decimal(str(x))
     if digits < -d.as_tuple().exponent:  # there are digits to round away
         rounding = decimal.ROUND_HALF_UP if x >= 0 else decimal.ROUND_HALF_DOWN
-        d = d.quantize(decimal.Decimal(1).scaleb(-digits), rounding=rounding)
+        d = d.quantize(decimal.Decimal(1).scaleb(-digits, _EXACT), rounding, _EXACT)
     return int(d) if digits <= 0 else float(d)
+
+
+#: Rounds integers of any length: the default context holds 28 digits.
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX, Emin=decimal.MIN_EMIN)
 
 
 def _positions(start, length, what: str) -> tuple[int, int | None]:

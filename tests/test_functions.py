@@ -118,6 +118,9 @@ NUMERIC_FNS = [
     ("floor(())", []),
     ("round(1.5, 400)", [1.5]),
     ("round(12345, -2)", [12300]),
+    # beyond the default decimal context's 28 digits
+    ("round(10000000000000000000000000000000000000055, -1)",
+     [10000000000000000000000000000000000000060]),
     ('round(number("INF"))', [float("inf")]),
     ('round(-number("INF"))', [float("-inf")]),
     ('floor(number("INF"))', [float("inf")]),
