@@ -15,4 +15,12 @@ setup(
     package_dir={"": "src"},
     packages=find_packages(where="src"),
     python_requires=">=3.11",
+    install_requires=[
+        "pyspark>=4.1.2",
+        "pyarrow>=16.1.0",
+        "pandas>=2.2.2",
+        "numpy>=1.26.4",
+        "duckdb>=1.0.0",
+        "orjson>=3.8.3",
+    ],
 )

@@ -25,6 +25,12 @@ holds the JSON serialization of its sequence (a JSON array). JSON
 round-trips all JDM item kinds losslessly, including the int/float
 distinction.
 
+:func:`loads` is the engine's one JSON decoder: ``json-file()`` lines
+and tuple cells both go through it. It decodes with orjson and falls
+back to stdlib ``json`` wherever the two could differ, so it returns
+exactly what ``json.loads`` returns and raises what it raises. Encoding
+stays on stdlib ``json`` (DESIGN.md §5b says why).
+
 This module also implements the §4.7 *typed encoding*: three native
 DataFrame columns (type code, string value, number value) per
 grouping/ordering key, designed so that Spark SQL GROUP BY / ORDER BY
@@ -36,6 +42,8 @@ import json
 import math
 import operator
 from typing import Any
+
+import orjson
 
 from ..jsoniq.errors import DynamicError, NonAtomicKeyError, TypeError_
 
@@ -55,12 +63,36 @@ def dumps_seq(seq: Sequence) -> str:
     return _ENCODER.encode(seq)
 
 
+#: Maps each ASCII digit byte to ``0`` and every other byte to a space.
+_DIGITS = bytes(48 if 48 <= b <= 57 else 32 for b in range(256))
+#: orjson turns an integer literal outside [-2^63, 2^64) into a float;
+#: every such literal holds a run of at least 19 digits.
+_LONG_DIGIT_RUN = b"0" * 19
+
+
+def loads(text: str) -> Item:
+    """``json.loads(text)``, through orjson where it gives the same item.
+
+    orjson rejects what stdlib accepts beyond JSON (``NaN``,
+    ``Infinity``, ``1e400``, lone surrogates): those, and malformed
+    text, fall back to stdlib, which decodes them or raises its own
+    ``JSONDecodeError``. Text holding 19 or more digits in a row, which
+    may be an integer orjson would turn into a float, goes straight to
+    stdlib; a digit run inside a string only costs speed."""
+    if _LONG_DIGIT_RUN not in text.encode("utf-8", "surrogatepass").translate(_DIGITS):
+        try:
+            return orjson.loads(text)
+        except orjson.JSONDecodeError:
+            pass
+    return json.loads(text)
+
+
 def loads_seq(cell: str | None) -> Sequence:
     """Inverse of :func:`dumps_seq`; a SQL NULL cell decodes to the
     empty sequence."""
     if cell is None:
         return []
-    return json.loads(cell)
+    return loads(cell)
 
 
 # --------------------------------------------------------------------------

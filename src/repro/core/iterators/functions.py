@@ -427,16 +427,17 @@ def _fn_string_join(args, ctx):
 
 def _xpath_round(x, digits: int = 0):
     """``x`` rounded to ``digits`` decimals, ties toward positive
-    infinity as XPath rounds: round(2.5)=3, round(-2.5)=-2 — neither
-    Python's banker's rounding nor plain half-away-from-zero. NaN and
-    ±INF round to themselves."""
+    infinity as XPath rounds: round(2.5)=3.0, round(-2.5)=-2.0 — neither
+    Python's banker's rounding nor plain half-away-from-zero. The result
+    keeps the argument's type: an integer stays an integer, a double a
+    double. NaN and ±INF round to themselves."""
     if not _finite(x):
         return x
     d = decimal.Decimal(str(x))
     if digits < -d.as_tuple().exponent:  # there are digits to round away
         rounding = decimal.ROUND_HALF_UP if x >= 0 else decimal.ROUND_HALF_DOWN
         d = d.quantize(decimal.Decimal(1).scaleb(-digits, _EXACT), rounding, _EXACT)
-    return int(d) if digits <= 0 else float(d)
+    return int(d) if isinstance(x, int) else float(d)
 
 
 #: Rounds integers of any length: the default context holds 28 digits.
@@ -453,7 +454,7 @@ def _positions(start, length, what: str) -> tuple[int, int | None]:
         hi = lo + _xpath_round(_single_number(length, f"{what} length"))
     if not lo < hi:
         return 0, 0
-    return max(lo, 1) - 1, None if hi == math.inf else max(hi, 1) - 1
+    return int(max(lo, 1)) - 1, None if hi == math.inf else int(max(hi, 1)) - 1
 
 
 def _finite(x) -> bool:
@@ -480,5 +481,9 @@ def _register_unary(name: str, op: Callable) -> None:
 
 
 _register_unary("abs", abs)
-_register_unary("floor", lambda x: math.floor(x) if _finite(x) else x)
-_register_unary("ceiling", lambda x: math.ceil(x) if _finite(x) else x)
+# A double stays a double: the sign of x is the sign of the result (or
+# of its zero, as XPath's ceiling(-0.5) is -0).
+_register_unary("floor", lambda x: math.copysign(math.floor(x), x)
+                if isinstance(x, float) and math.isfinite(x) else x)
+_register_unary("ceiling", lambda x: math.copysign(math.ceil(x), x)
+                if isinstance(x, float) and math.isfinite(x) else x)

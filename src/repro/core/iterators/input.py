@@ -5,9 +5,11 @@
 JSON objects in a JSON-Lines file; physically an RDD built with
 Spark's ``textFile`` + a per-partition JSON parse — the PySpark
 equivalent of the paper's ``mapPartitions`` + JSONiter streaming
-parser. ``path`` may be a comma-separated list of paths, which is how
-the large-scale experiments replicate a dataset N× without writing N
-copies (Hadoop's text input accepts comma-joined paths). A FLWOR
+parser. Each line is parsed by ``items.loads``: orjson, with stdlib
+``json`` where the two could differ. ``path`` may be a comma-separated
+list of paths, which is how the large-scale experiments replicate a
+dataset N× without writing N copies (Hadoop's text input accepts
+comma-joined paths). A FLWOR
 whose tuple stream is a DataFrame (§4.3) starts it from the same lines
 without a Python worker: :meth:`JsonFileIterator.cell_df` trims,
 skips blank lines and wraps each line into its cell in the JVM.
@@ -22,14 +24,13 @@ FLWOR behaviour in tests.
 """
 from __future__ import annotations
 
-import json
 from typing import Iterator
 
 from pyspark.sql import DataFrame, functions as F
 
 from ...jsoniq.errors import DynamicError, TypeError_
 from ..dynamic_context import DynamicContext
-from ..items import Item, is_number
+from ..items import Item, is_number, loads
 from .base import RuntimeIterator, active_spark
 
 
@@ -37,7 +38,7 @@ def _parse_lines(lines) -> Iterator[Item]:
     for line in lines:
         line = line.strip()
         if line:
-            yield json.loads(line)
+            yield loads(line)
 
 
 #: The characters ``str.strip`` strips, so that the JVM skips and trims

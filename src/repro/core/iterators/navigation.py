@@ -8,11 +8,12 @@ runtime iterators, evaluated on executors via the local API (§5.6).
 """
 from __future__ import annotations
 
-from ...jsoniq.errors import DynamicError, TypeError_
+from ...jsoniq.errors import TypeError_
 from ..dynamic_context import DynamicContext
 from ..items import Item, effective_boolean_value, is_number
 from .base import Evaluator, RuntimeIterator
-from .basic import VarRefIterator, literal_value
+from .basic import QuantifiedIterator, VarRefIterator, literal_value
+from .operators import BoolOpIterator, ComparisonIterator, NotIterator
 
 
 def _lookup_one(item: Item, key: str):
@@ -136,38 +137,40 @@ class ArrayLookupIterator(RuntimeIterator):
         )
 
 
+def _keep(result, pos: int) -> bool:
+    """Whether ``e[p]`` keeps the item at 1-based ``pos``, given ``p``'s
+    result: a single number selects by position, anything else is taken
+    as an effective boolean value."""
+    if len(result) == 1 and is_number(result[0]):
+        return pos == result[0]
+    return effective_boolean_value(result)
+
+
+#: Predicate roots whose result is never a number, so never a position.
+_BOOLEAN_ROOTS = (ComparisonIterator, BoolOpIterator, NotIterator, QuantifiedIterator)
+
+
 class PredicateIterator(RuntimeIterator):
     """``e[p]`` — filter with ``$$`` bound to each candidate item.
 
     A numeric predicate result selects by 1-based position; any other
-    result is taken as an effective boolean value. On the RDD path only
-    boolean predicates are supported (position is not meaningful per
-    partition without a zipWithIndex) — except the common special case
-    of a *literal integer* predicate, which maps to zipWithIndex+filter.
+    result is taken as an effective boolean value. On the RDD path a
+    predicate that can only give a boolean is a plain ``filter``; any
+    other one sees each item's position from ``zipWithIndex``.
     """
 
-    def __init__(self, target: RuntimeIterator, pred: RuntimeIterator,
-                 positional_literal: int | None = None):
+    def __init__(self, target: RuntimeIterator, pred: RuntimeIterator):
         super().__init__([target, pred])
         self.target = target
         self.pred = pred
-        self.positional_literal = positional_literal
 
     def _compile(self) -> Evaluator:
         target = self.target.evaluator()
         pred = self.pred.evaluator()
 
         def evaluate(ctx: DynamicContext):
-            out = []
-            for pos, item in enumerate(target(ctx), 1):
-                result = pred(ctx.with_context_item(item, pos))
-                if len(result) == 1 and is_number(result[0]):
-                    keep = pos == result[0]
-                else:
-                    keep = effective_boolean_value(result)
-                if keep:
-                    out.append(item)
-            return out
+            return [item for pos, item in enumerate(target(ctx), 1)
+                    if _keep(pred(ctx.with_context_item(item, pos)), pos)]
 
         return evaluate
 
@@ -176,23 +179,13 @@ class PredicateIterator(RuntimeIterator):
 
     def get_rdd(self, ctx: DynamicContext):
         rdd = self.target.get_rdd(ctx)
-        if self.positional_literal is not None:
-            n = self.positional_literal
-            return (
-                rdd.zipWithIndex()
-                .filter(lambda pair: pair[1] == n - 1)
-                .map(lambda pair: pair[0])
-            )
         pred, outer = self.pred, ctx
+        if isinstance(pred, _BOOLEAN_ROOTS):
+            return rdd.filter(lambda item: effective_boolean_value(
+                pred.materialize(outer.with_context_item(item, None))))
 
-        def keep(item: Item) -> bool:
-            inner = outer.with_context_item(item, None)
-            result = pred.materialize(inner)
-            if len(result) == 1 and is_number(result[0]):
-                raise DynamicError(
-                    "positional (numeric) predicates are not supported on the "
-                    "RDD execution path; use a literal index or local execution"
-                )
-            return effective_boolean_value(result)
+        def keep(pair) -> bool:
+            item, index = pair
+            return _keep(pred.materialize(outer.with_context_item(item, index + 1)), index + 1)
 
-        return rdd.filter(keep)
+        return rdd.zipWithIndex().filter(keep).map(lambda pair: pair[0])

@@ -82,14 +82,7 @@ def translate(expr: ast.Expr, *, optimize: bool = True) -> RuntimeIterator:
         if isinstance(e, ast.ArrayLookup):
             return ArrayLookupIterator(t(e.target), t(e.index))
         if isinstance(e, ast.Predicate):
-            positional = (
-                e.pred.value
-                if isinstance(e.pred, ast.Literal)
-                and isinstance(e.pred.value, int)
-                and not isinstance(e.pred.value, bool)
-                else None
-            )
-            return PredicateIterator(t(e.target), t(e.pred), positional)
+            return PredicateIterator(t(e.target), t(e.pred))
         if isinstance(e, ast.Arithmetic):
             return ArithmeticIterator(e.op, t(e.left), t(e.right))
         if isinstance(e, ast.UnaryMinus):

@@ -28,11 +28,12 @@ ROWS = 200
 #: Calls measured when the budget was set (2,115, 10.6 per row), plus 10%.
 #: ``number($c.score)`` is two calls: the call's closure and ``_fn_number``.
 CALL_BUDGET = 2_327
-#: Calls measured when the budget was set (3,119, 15.6 per row), plus 10%.
-#: Unchanged cells pass through the segment without a decode-encode trip.
-SEGMENT_CALL_BUDGET = 3_431
-#: Calls measured when the budget was set (4,077, 20.4 per row), plus 10%.
-LOCAL_CALL_BUDGET = 4_484
+#: Calls measured when the budget was set (2,908, 14.5 per row), plus 10%.
+#: Unchanged cells pass through the segment without a decode-encode trip,
+#: and a cell decodes through orjson without stdlib ``json``'s Python frames.
+SEGMENT_CALL_BUDGET = 3_199
+#: Calls measured when the budget was set (3,873, 19.4 per row), plus 10%.
+LOCAL_CALL_BUDGET = 4_260
 
 QUERY = (
     'for $c in json-file("unused.json") '

@@ -190,6 +190,56 @@ def test_local_vs_dataframe(template, spark, local_eng):
         assert canonical(got) == canonical(expected)
 
 
+# One json-file() line per edge of the JSON decoder: what stdlib `json`
+# reads and orjson does not (NaN, ±INF, 1e400, lone surrogates), integers
+# orjson would turn into floats, digit runs in strings, duplicate keys.
+EDGE_LINES = [
+    '{"k": "nan", "v": NaN}',
+    '{"k": "inf", "v": [Infinity, -Infinity]}',
+    '{"k": "1e400", "v": 1e400}',
+    '{"k": "1e-400", "v": 1e-400}',
+    '{"k": "subnormal", "v": 5e-324}',
+    '{"k": "-0.0", "v": -0.0}',
+    '{"k": "surrogate", "v": "\\udc00"}',
+    '{"k": "pair", "v": "\\ud83d\\ude00"}',
+    '{"k": "dup", "v": 1, "w": 2, "v": 3}',
+    '{"k": "digits in a string", "v": "id-12345678901234567890"}',
+    '{"k": "2^53+1", "v": 9007199254740993}',
+    '{"k": "2^63-1", "v": 9223372036854775807}',
+    '{"k": "-2^63-1", "v": -9223372036854775809}',
+    '{"k": "2^64", "v": 18446744073709551616}',
+    '{"k": "10^30", "v": [1000000000000000000000000000000, 1.5]}',
+]
+EDGE_QUERIES = [
+    'json-file("{path}")',
+    # no stream clause: the items' RDD feeds the return pass
+    'for $o in json-file("{path}") return {{"k": $o.k, "v": $o.v, "o": $o}}',
+    # before a group by: the cells decode in the segment and return passes
+    'for $o in json-file("{path}") where exists($o.v) group by $k := $o.k '
+    'return {{"k": $k, "v": $o.v, "o": $o}}',
+]
+
+
+@pytest.fixture(scope="module")
+def edge_path(tmp_path_factory):
+    path = tmp_path_factory.mktemp("edges") / "edges.json"
+    path.write_text("\n".join(EDGE_LINES) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("template", EDGE_QUERIES, ids=["source", "return-pass", "group-by"])
+def test_json_file_decoder_edges(template, edge_path, spark, local_eng):
+    """Each edge line decodes as stdlib `json` decodes it, locally and on
+    Spark. Comparing the stdlib encodings tells int from float, NaN from
+    NaN, -0.0 from 0.0 and one key order from another."""
+    q = template.format(path=edge_path)
+    expected = local_eng.run(q)
+    got = Rumble(spark).run(q)
+    assert sorted(map(json.dumps, got)) == sorted(map(json.dumps, expected))
+    objs = [item.get("o", item) for item in expected]
+    assert sorted(map(json.dumps, objs)) == sorted(json.dumps(json.loads(line)) for line in EDGE_LINES)
+
+
 @pytest.mark.parametrize(
     "template, error",
     [

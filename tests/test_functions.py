@@ -128,6 +128,26 @@ NUMERIC_FNS = [
 ]
 
 
+#: round, floor and ceiling keep the argument's type: a double stays a
+#: double (with the sign of its zero), an integer an integer.
+ROUNDING_TYPES = [
+    ("round(2.5)", 3.0),
+    ("round(-2.5)", -2.0),
+    ("round(-0.4)", -0.0),
+    ("round(1e300)", 1e300),
+    ("round(2.345, 2)", 2.35),
+    ("round(123.456, -1)", 120.0),
+    ("floor(2.9)", 2.0),
+    ("floor(-0.5)", -1.0),
+    ("ceiling(2.1)", 3.0),
+    ("ceiling(-0.5)", -0.0),
+    ("round(5, 2)", 5),
+    ("round(12345, -2)", 12300),
+    ("floor(3)", 3),
+    ("ceiling(-3)", -3),
+]
+
+
 def battery(name, cases):
     @pytest.mark.parametrize("query,expected", cases, ids=[c[0] for c in cases])
     def test(local_engine, query, expected):
@@ -199,6 +219,16 @@ class TestFunctionErrors:
 
         (got,) = local_engine.run(f'{fn}(number("x"))')
         assert math.isnan(got)
+
+    @pytest.mark.parametrize("query,expected", ROUNDING_TYPES,
+                             ids=[c[0] for c in ROUNDING_TYPES])
+    def test_rounding_keeps_type(self, local_engine, query, expected):
+        import math
+
+        (got,) = local_engine.run(query)
+        assert got == expected and type(got) is type(expected)
+        if type(got) is float:
+            assert math.copysign(1, got) == math.copysign(1, expected)
 
     def test_number_of_bad_string_is_nan(self, local_engine):
         import math

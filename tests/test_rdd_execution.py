@@ -88,11 +88,32 @@ class TestExpressionPushdown:
         assert rumble.compile(q).supports_rdd(rumble._ctx())
         assert rumble.run(q) == [30]
 
-    def test_dynamic_positional_predicate_on_rdd_raises(self, rumble):
-        from py4j.protocol import Py4JJavaError
+    @pytest.mark.parametrize("q,expected", [
+        ("parallelize((10, 20, 30))[1 + 1]", [20]),
+        ("parallelize((10, 20, 30))[2.0]", [20]),
+        ("parallelize((10, 20, 30))[1.5]", []),
+        ("parallelize((10, 20, 30))[$$ - 1]", []),
+        # positions run on across partitions
+        ("parallelize((2, 5, 4, 9), 2)[$$ - 1]", [2, 4]),
+        ("parallelize((1, 0, 3, 0), 2)[$$]", [1, 3]),
+    ], ids=["1+1", "2.0", "1.5", "$$-1", "$$-1 on 2 partitions", "$$ on 2 partitions"])
+    def test_dynamic_positional_predicate_on_rdd(self, rumble, q, expected):
+        assert rumble.compile(q).supports_rdd(rumble._ctx())
+        local = Rumble(None, RumbleConfig(force_local=True)).run(q)
+        assert rumble.run(q) == local == expected
 
-        with pytest.raises(Py4JJavaError, match="positional"):
-            rumble.run("parallelize((10, 20, 30))[1 + 1]")
+    def test_boolean_predicate_builds_without_a_job(self, spark, rumble):
+        """A comparison can only give a boolean: the predicate is a plain
+        filter, with no zipWithIndex job to number the items."""
+        sc, group = spark.sparkContext, "boolean-predicate"
+        sc.setJobGroup(group, group)
+        try:
+            rdd = rumble.run_rdd("parallelize((1, 2, 3, 4), 2)[$$ gt 2]")
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            sc.setLocalProperty("spark.job.description", None)
+        assert sc.statusTracker().getJobIdsForGroup(group) == []
+        assert sorted(rdd.collect()) == [3, 4]
 
     def test_distinct_values_stays_distributed(self, rumble):
         q = "distinct-values(parallelize((1, 2, 2, 3, 3, 3)))"
