@@ -1,9 +1,9 @@
 """Dynamic contexts (paper §5.5) and the engine configuration.
 
 A dynamic context binds in-scope variables to (materialized) sequences
-of items, plus the context item/position set by predicates. Contexts
-are small plain objects so that Spark closures carrying runtime
-iterators + their opening contexts pickle cheaply (§5.6).
+of items, plus the context item set by predicates. Contexts are small
+plain objects so that Spark closures carrying runtime iterators + their
+opening contexts pickle cheaply (§5.6).
 
 :class:`RumbleConfig` carries the knobs the paper describes: the
 materialization cap with warning (§5.5).
@@ -38,13 +38,12 @@ class DynamicContext:
     """Variable bindings + context item for one evaluation (§5.5).
 
     ``variables`` maps variable name → materialized sequence. The
-    context item (``$$``) and its 1-based position are set by predicate
-    iterators. Contexts are copied on extension, except that a FLWOR
-    runner writes a tuple's ``let`` bindings into the tuple's copy."""
+    context item (``$$``) is set by predicate iterators. Contexts are
+    copied on extension, except that a FLWOR runner writes a tuple's
+    ``let`` bindings into the tuple's copy."""
 
     variables: dict[str, Sequence] = field(default_factory=dict)
     context_item: Item = None
-    context_position: int | None = None
     has_context_item: bool = False
     config: RumbleConfig = field(default_factory=RumbleConfig)
 
@@ -55,8 +54,8 @@ class DynamicContext:
         ctx.__dict__.update(self.__dict__, variables={**self.variables, **dict(bindings)})
         return ctx
 
-    def with_context_item(self, item: Item, position: int | None = None) -> "DynamicContext":
-        return DynamicContext(self.variables, item, position, True, self.config)
+    def with_context_item(self, item: Item) -> "DynamicContext":
+        return DynamicContext(self.variables, item, True, self.config)
 
     def lookup(self, name: str) -> Sequence:
         try:

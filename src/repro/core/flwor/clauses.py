@@ -46,10 +46,9 @@ class ClauseIterator:
         """The expressions this clause evaluates, in source order."""
         return []
 
-    def binds(self) -> dict[str, bool]:
-        """The variables a row-local clause binds, each mapped to whether
-        it is bound to a single item."""
-        return {}
+    def binds(self) -> list[str]:
+        """The variables a row-local clause binds."""
+        return []
 
     def row_clauses(self) -> list[ClauseIterator]:
         """The row-local clauses this clause runs on each tuple."""
@@ -114,10 +113,7 @@ class ForClauseIterator(RowLocalClause):
         return [self.expr]
 
     def binds(self):
-        out = {self.var: not self.allowing_empty}
-        if self.position_var:
-            out[self.position_var] = True
-        return out
+        return [self.var, self.position_var] if self.position_var else [self.var]
 
     # -- start of the FLWOR pipeline ------------------------------------
     def starts_rdd(self, outer_ctx: DynamicContext) -> bool:
@@ -127,7 +123,6 @@ class ForClauseIterator(RowLocalClause):
         return (
             self.position_var is None
             and not self.allowing_empty
-            and active_spark() is not None
             and self.expr.supports_rdd(outer_ctx)
         )
 
@@ -147,7 +142,7 @@ class ForClauseIterator(RowLocalClause):
             # verifySchema would re-check every row in Python; the mapper
             # above guarantees the single string column.
             df = active_spark().createDataFrame(rows, schema=schema, verifySchema=False)
-        return TupleFrame(df, {self.var: col}, single_item={self.var})
+        return TupleFrame(df, {self.var: col})
 
     def bind_each(self, ctx: DynamicContext, items) -> Iterator[DynamicContext]:
         """One child context per item, pulled one at a time (§5.5): the
@@ -173,7 +168,7 @@ class LetClauseIterator(RowLocalClause):
         return [self.expr]
 
     def binds(self):
-        return {self.var: False}
+        return [self.var]
 
 
 class WhereClauseIterator(RowLocalClause):
@@ -292,14 +287,12 @@ class GroupByClauseIterator(ClauseIterator):
         # count also keeps its §4.7 encoding as a column for an
         # `order by` that follows.
         aggs, cells, keys = [], {}, {}
-        single_out: set[str] = set()
         for var, k in zip(key_vars, key_cols):
             canon = tframe.fresh_col(var + "_canon")
             aggs.append(F.first(F.col(f"{k}.canon")).alias(canon))
             cells[var] = F.col(canon)
             keys[var] = F.struct(*[F.col(f"{k}_{f}").alias(f) for f in KEY_FIELDS],
                                  F.col(canon).alias("canon"))
-            single_out.add(var)
         for var, col in tframe.columns.items():
             if var in key_vars:
                 continue
@@ -314,7 +307,6 @@ class GroupByClauseIterator(ClauseIterator):
                     F.lit(TYPE_NUMBER).alias("code"), F.lit("").alias("s"),
                     F.col(out).cast("double").alias("d"), F.lit(0.0).alias("r"),
                     cells[var].alias("canon"))
-                single_out.add(var)
             else:
                 bodies = F.transform(F.collect_list(F.col(col)),
                                      lambda c: c.substr(F.lit(2), F.length(c) - 2))
@@ -327,7 +319,7 @@ class GroupByClauseIterator(ClauseIterator):
         grouped = tframe.df.groupBy(*group_cols).agg(*aggs).select(
             *[c.alias(out_columns[v]) for v, c in cells.items()],
             *[c.alias(key_columns[v]) for v, c in keys.items()])
-        return TupleFrame(grouped, out_columns, single_out, tframe._fresh, key_columns)
+        return TupleFrame(grouped, out_columns, tframe._fresh, key_columns)
 
 
 class OrderByClauseIterator(ClauseIterator):
@@ -401,5 +393,4 @@ class CountClauseIterator(ClauseIterator):
             lambda pair: tuple(pair[0]) + (dumps_seq([pair[1] + 1]),)
         )
         df = active_spark().createDataFrame(rows, schema=schema, verifySchema=False)
-        return TupleFrame(df, {**tframe.columns, self.var: new},
-                          tframe.single_item | {self.var}, tframe._fresh)
+        return TupleFrame(df, {**tframe.columns, self.var: new}, tframe._fresh)

@@ -27,7 +27,7 @@ from typing import Iterable, Iterator
 
 from ..dynamic_context import DynamicContext
 from ..items import Item, loads_seq
-from ..iterators.base import RuntimeIterator, active_spark
+from ..iterators.base import RuntimeIterator
 from .clauses import ClauseIterator, ForClauseIterator, RowLocalClause, bind_rows
 from .frame import TupleFrame
 
@@ -60,8 +60,6 @@ class FLWORIterator(RuntimeIterator):
     # RDD/DataFrame path
     # ------------------------------------------------------------------
     def supports_rdd(self, ctx: DynamicContext) -> bool:
-        if ctx.config.force_local or active_spark() is None:
-            return False
         first = self.clauses[0]
         return isinstance(first, ForClauseIterator) and first.starts_rdd(ctx)
 
@@ -89,23 +87,6 @@ class FLWORIterator(RuntimeIterator):
         for clause, before in self._segments(1):
             tframe = clause.apply_df(tframe, ctx, before)
         return tframe
-
-    def rdd_count(self, ctx: DynamicContext) -> int:
-        """Count this FLWOR's result items. When no clause follows the
-        last stream clause and the return expression is a plain
-        reference to a single-item variable, the item count equals the
-        row count of the tuple-stream DataFrame, which Spark counts
-        entirely in the JVM (the §5.5 aggregation push-down applied one
-        level deeper). Otherwise the return pass's RDD is counted."""
-        from ..iterators.basic import VarRefIterator
-
-        ret = self.return_expr
-        if self._stream_end() == len(self.clauses) and isinstance(ret, VarRefIterator):
-            tframe = self._build_tframe(ctx)
-            if ret.name in tframe.single_item:
-                return tframe.df.count()
-            return self._return_rdd(ctx, tframe).count()
-        return self.get_rdd(ctx).count()
 
     def get_rdd(self, ctx: DynamicContext):
         return self._return_rdd(ctx, self._build_tframe(ctx) if self._stream_end() else None)

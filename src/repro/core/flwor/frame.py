@@ -9,10 +9,8 @@ sequence (`items.dumps_seq`), the PySpark stand-in for the paper's
 
 :class:`TupleFrame` wraps the DataFrame with the variable→column
 mapping (JSONiq variable names may contain ``-``; columns get fresh
-synthetic names) and tracks which variables are guaranteed single-item
-per tuple (``for``-bound) — the precondition for the §4.7 COUNT
-push-down. Where Catalyst already computed a variable's §4.7 encoding
-(a group-by's keys and counts), the frame also keeps it as a
+synthetic names). Where Catalyst already computed a variable's §4.7
+encoding (a group-by's keys and counts), the frame also keeps it as a
 ``KEY_STRUCT`` column, so that a stream clause keyed by that variable
 (an ``order by`` or another ``group by``) needs no Python pass.
 
@@ -66,7 +64,6 @@ class TupleFrame:
 
     df: DataFrame
     columns: dict[str, str]  # variable name -> DataFrame column name
-    single_item: set[str] = field(default_factory=set)
     _fresh: int = 0
     #: variable name -> column of ``df`` holding the variable's §4.7
     #: encoding as a ``KEY_STRUCT``, where Catalyst already computed it
@@ -136,15 +133,11 @@ def local_pass(tframe: TupleFrame, clauses, outer_ctx: DynamicContext,
         if keyed:
             out.df = out.df.withColumns(keyed)
         return out, key_cols
-    out = TupleFrame(tframe.df, dict(tframe.columns), set(tframe.single_item), tframe._fresh)
+    out = TupleFrame(tframe.df, dict(tframe.columns), tframe._fresh)
     for clause in clauses:
-        for var, single in clause.binds().items():
+        for var in clause.binds():
             if var not in out.columns:
                 out.columns[var] = out.fresh_col(var)
-            if single:
-                out.single_item.add(var)
-            else:
-                out.single_item.discard(var)
     key_cols = [out.fresh_col(f"key{i}") for i in range(len(keys))]
     schema = StructType(
         [StructField(c, StringType(), False) for c in out.columns.values()]

@@ -10,9 +10,13 @@ which the engine switches seamlessly:
   closures directly, with literal operands folded at build time.
   *Sequence sources* (``is_source``: ``json-file()``, ``parallelize()``,
   a FLWOR, ``to``) keep a streaming ``_iterate_local`` generator, so a
-  ``for`` clause, ``count()`` or the pull-based ``open() / has_next() /
-  next_item() / reset() / close()`` protocol of §5.5 never holds their
-  whole sequence; on any other node the pull API iterates the list.
+  ``for`` clause or ``count()`` never holds their whole sequence.
+  The §5.5 pull protocol is the Python iterator :meth:`iter_items`
+  returns: ``open`` is the call, ``hasNext`` / ``next`` are ``next()``
+  and ``StopIteration``, ``close`` is a source generator's ``close()``
+  and ``reset`` a fresh call. It keeps no state on the node, so one
+  node can be pulled twice at once; on a non-source node it iterates
+  the evaluator's list.
 * **RDD execution** — ``supports_rdd()`` / ``get_rdd()`` of §5.6;
   subclasses that can produce their sequence as an RDD of items
   override both.
@@ -28,8 +32,9 @@ Iterators are pure picklable objects: they never hold a SparkSession,
 and the evaluator is left out of the pickled state. ``get_rdd`` fetches
 the active session at call time (driver only); on executors — where
 closures carrying nested iterators are evaluated via the local API,
-because "Spark jobs do not nest" (§5.6) — ``supports_rdd`` reports
-False and evaluation stays local.
+because "Spark jobs do not nest" (§5.6) — :func:`spark_enabled` is
+False, so the sources below every RDD-backed expression report no RDD
+support and evaluation stays local.
 """
 from __future__ import annotations
 
@@ -39,8 +44,6 @@ from typing import Callable, Iterator, Optional
 from ...jsoniq.errors import RumbleError
 from ..dynamic_context import DynamicContext
 from ..items import Item, Sequence
-
-_NOTHING = object()
 
 Evaluator = Callable[[DynamicContext], Sequence]
 
@@ -55,6 +58,13 @@ def active_spark():
     return SparkSession.getActiveSession()
 
 
+def spark_enabled(ctx: DynamicContext) -> bool:
+    """Whether a sequence source reads through Spark under ``ctx``:
+    there is an active session and the config does not force local
+    execution. Every RDD-backed expression ends in such a source."""
+    return not ctx.config.force_local and active_spark() is not None
+
+
 class RuntimeIterator:
     """Base of all expression runtime iterators."""
 
@@ -64,59 +74,12 @@ class RuntimeIterator:
 
     def __init__(self, children: list["RuntimeIterator"] | None = None):
         self.children: list[RuntimeIterator] = children or []
-        self._gen: Optional[Iterator[Item]] = None
-        self._lookahead: Item = _NOTHING
-        self._opened = False
         self._eval: Optional[Evaluator] = None
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
         state["_eval"] = None
         return state
-
-    # ------------------------------------------------------------------
-    # Local pull API (§5.5)
-    # ------------------------------------------------------------------
-    def open(self, ctx: DynamicContext) -> None:
-        if self._opened:
-            raise RumbleError(f"{type(self).__name__} opened twice without close")
-        self._opened = True
-        self._gen = self.iter_items(ctx)
-        self._advance()
-
-    def has_next(self) -> bool:
-        self._require_open()
-        return self._lookahead is not _NOTHING
-
-    def next_item(self) -> Item:
-        self._require_open()
-        if self._lookahead is _NOTHING:
-            raise RumbleError(f"next_item() past end of {type(self).__name__}")
-        item = self._lookahead
-        self._advance()
-        return item
-
-    def reset(self, ctx: DynamicContext) -> None:
-        self.close()
-        self.open(ctx)
-
-    def close(self) -> None:
-        close = getattr(self._gen, "close", None)
-        if close is not None:
-            close()
-        self._gen = None
-        self._lookahead = _NOTHING
-        self._opened = False
-
-    def _require_open(self) -> None:
-        if not self._opened:
-            raise RumbleError(f"{type(self).__name__} used before open()")
-
-    def _advance(self) -> None:
-        try:
-            self._lookahead = next(self._gen)  # type: ignore[arg-type]
-        except StopIteration:
-            self._lookahead = _NOTHING
 
     # ------------------------------------------------------------------
     # Evaluation: the one local entry point of every consumer

@@ -96,10 +96,7 @@ def _require_atomic(item: Item) -> Item:
 def _fn_count(args, ctx):
     (child,) = args
     if child.supports_rdd(ctx):
-        # FLWOR children expose rdd_count, which can count the tuple
-        # stream in the JVM without a per-row return evaluation (§5.5).
-        rdd_count = getattr(child, "rdd_count", None)
-        return [rdd_count(ctx) if rdd_count is not None else child.get_rdd(ctx).count()]
+        return [child.get_rdd(ctx).count()]
     n = 0
     for _ in child.iter_items(ctx):
         n += 1

@@ -31,7 +31,7 @@ from pyspark.sql import DataFrame, functions as F
 from ...jsoniq.errors import DynamicError, TypeError_
 from ..dynamic_context import DynamicContext
 from ..items import Item, is_number, loads
-from .base import RuntimeIterator, active_spark
+from .base import RuntimeIterator, active_spark, spark_enabled
 
 
 def _parse_lines(lines) -> Iterator[Item]:
@@ -73,7 +73,7 @@ class JsonFileIterator(RuntimeIterator):
         return int(seq[0])
 
     def supports_rdd(self, ctx: DynamicContext) -> bool:
-        return not ctx.config.force_local and active_spark() is not None
+        return spark_enabled(ctx)
 
     def _text_rdd(self, ctx: DynamicContext):
         spark = active_spark()
@@ -133,7 +133,7 @@ class ParallelizeIterator(RuntimeIterator):
         self.slices_iter = slices_iter
 
     def supports_rdd(self, ctx: DynamicContext) -> bool:
-        return not ctx.config.force_local and active_spark() is not None
+        return spark_enabled(ctx)
 
     def get_rdd(self, ctx: DynamicContext):
         spark = active_spark()

@@ -170,7 +170,7 @@ class PredicateIterator(RuntimeIterator):
 
         def evaluate(ctx: DynamicContext):
             return [item for pos, item in enumerate(target(ctx), 1)
-                    if _keep(pred(ctx.with_context_item(item, pos)), pos)]
+                    if _keep(pred(ctx.with_context_item(item)), pos)]
 
         return evaluate
 
@@ -182,10 +182,10 @@ class PredicateIterator(RuntimeIterator):
         pred, outer = self.pred, ctx
         if isinstance(pred, _BOOLEAN_ROOTS):
             return rdd.filter(lambda item: effective_boolean_value(
-                pred.materialize(outer.with_context_item(item, None))))
+                pred.materialize(outer.with_context_item(item))))
 
         def keep(pair) -> bool:
             item, index = pair
-            return _keep(pred.materialize(outer.with_context_item(item, index + 1)), index + 1)
+            return _keep(pred.materialize(outer.with_context_item(item)), index + 1)
 
         return rdd.zipWithIndex().filter(keep).map(lambda pair: pair[0])

@@ -7,8 +7,8 @@ implement the same chained-frame structure and a recursive walk with
 the visitor pattern collapsed into one function per node family.
 
 ``check(expr)`` raises :class:`StaticError` on the first unbound
-variable or misplaced ``$$``, and returns the set of *free* variables
-(useful for the optimizer's usage analysis).
+variable or misplaced ``$$``. Variable usage for the §4.7 rewrites is
+the optimizer's own analysis of the AST.
 """
 from __future__ import annotations
 
@@ -44,24 +44,14 @@ class StaticContext:
         return StaticContext(self, has_context_item=has_context_item)
 
 
-def check(expr: ast.Expr, bound: set[str] | None = None) -> set[str]:
-    """Scope-check ``expr``; returns the free variables it references.
-
-    ``bound`` seeds the outermost static context (for checking nested
-    fragments, e.g. the optimizer checking a return expression whose
-    FLWOR variables are known).
-    """
-    free: set[str] = set()
-    root = StaticContext()
-    for name in bound or ():
-        root.bind(name)
+def check(expr: ast.Expr) -> None:
+    """Scope-check ``expr``: raise :class:`StaticError` on the first
+    unbound variable or misplaced ``$$``."""
 
     def visit(e: ast.Expr, ctx: StaticContext) -> None:
         if isinstance(e, ast.VarRef):
             if not ctx.is_bound(e.name):
                 raise StaticError(f"unbound variable ${e.name}")
-            if _is_free(e.name, ctx, root):
-                free.add(e.name)
             return
         if isinstance(e, ast.ContextItem):
             if not ctx.has_context_item:
@@ -117,14 +107,4 @@ def check(expr: ast.Expr, bound: set[str] | None = None) -> set[str]:
         for child in e.children():
             visit(child, ctx)
 
-    def _is_free(name: str, ctx: StaticContext, root_ctx: StaticContext) -> bool:
-        # A variable is free if its binding frame is the seeded root.
-        c: StaticContext | None = ctx
-        while c is not None:
-            if name in c._names:
-                return c is root_ctx
-            c = c._parent
-        return False
-
-    visit(expr, root)
-    return free
+    visit(expr, StaticContext())

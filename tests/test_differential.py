@@ -36,6 +36,7 @@ QUERIES = [
     "for $o in {src} return (if (exists($o.v)) then 1 else 0)",
     'for $o in {src} where some $x in $o.w[] satisfies $x gt 8 return $o.w',
     "count(for $o in {src} where $o.g eq $o.t return $o)",
+    "count(for $o in {src} group by $k := $o.v return $k)",  # an empty key
     "sum(for $o in {src} return 1)",
     'for $o in {src} group by $k := $o.g let $n := count($o) '
     "order by $n descending, $k return ($k, $n)",

@@ -442,11 +442,16 @@ class TestReturnPassTail:
     @pytest.mark.parametrize(
         "query, expected",
         [
-            # empty tail, single-item return variable: counted in the JVM
+            # count() of a FLWOR counts its return pass's RDD (§5.5)
             ("count(for $x in parallelize(1 to 10) order by $x return $x)", 10),
             ("count(for $x in parallelize(1 to 10) order by $x where $x gt 3 return $x)", 7),
             ("count(for $x in parallelize(1 to 10) where $x gt 3 return ($x, $x))", 14),
             ("count(for $x in parallelize(1 to 10) group by $k := $x mod 3 return $x)", 10),
+            # an empty grouping key returns no item: three groups, two items
+            ('count(for $o in parallelize(({"v": 1}, {"v": 2}, {"w": 3}, {"v": 1})) '
+             "let $v := $o.v group by $v return $v)", 2),
+            ('count(for $o in parallelize(({"v": 1}, {"v": 2}, {"w": 3}, {"v": 1})) '
+             "group by $k := $o.v order by $k return $k)", 2),
         ],
     )
     def test_count_of_flwor(self, rumble, query, expected):

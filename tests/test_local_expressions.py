@@ -188,50 +188,28 @@ class TestDynamicErrors:
 
 
 class TestIteratorProtocol:
-    """The §5.5 pull API: open/has_next/next_item/reset/close."""
+    """The §5.5 pull protocol is the Python iterator ``iter_items``
+    returns: open is the call, hasNext/next are next() and
+    StopIteration, close is close() and reset a fresh call."""
 
     def test_pull_protocol(self, local_engine):
         it = local_engine.compile("(1, 2, 3)")
-        ctx = local_engine._ctx()
-        it.open(ctx)
+        pull = it.iter_items(local_engine._ctx())
         out = []
-        while it.has_next():
-            out.append(it.next_item())
-        it.close()
+        for item in pull:
+            out.append(item)
         assert out == [1, 2, 3]
 
     def test_reset(self, local_engine):
         it = local_engine.compile("(1, 2)")
         ctx = local_engine._ctx()
-        it.open(ctx)
-        assert it.next_item() == 1
-        it.reset(ctx)
-        assert it.next_item() == 1
-        it.close()
+        assert next(it.iter_items(ctx)) == 1
+        assert next(it.iter_items(ctx)) == 1
 
     def test_next_past_end(self, local_engine):
-        from repro.jsoniq.errors import RumbleError
-
-        it = local_engine.compile("()")
-        it.open(local_engine._ctx())
-        with pytest.raises(RumbleError):
-            it.next_item()
-
-    def test_use_before_open(self, local_engine):
-        from repro.jsoniq.errors import RumbleError
-
-        it = local_engine.compile("1")
-        with pytest.raises(RumbleError):
-            it.has_next()
-
-    def test_double_open(self, local_engine):
-        from repro.jsoniq.errors import RumbleError
-
-        it = local_engine.compile("1")
-        ctx = local_engine._ctx()
-        it.open(ctx)
-        with pytest.raises(RumbleError):
-            it.open(ctx)
+        pull = local_engine.compile("()").iter_items(local_engine._ctx())
+        with pytest.raises(StopIteration):
+            next(pull)
 
     @pytest.mark.parametrize("query", [
         '{"a": 1 + 1, "b": (), "c": [1, 2], "d": 2 lt 3}',
@@ -239,37 +217,26 @@ class TestIteratorProtocol:
         '(1 eq 1, "a" gt "b", () ge 1)',
     ])
     def test_pull_matches_materialize(self, local_engine, query):
-        # The pull API over a compiled node iterates its evaluator's list.
+        # Pulling a compiled node iterates its evaluator's list.
         it = local_engine.compile(query)
         ctx = local_engine._ctx()
         expected = it.materialize(ctx)
-
-        def pull():
-            out = []
-            while it.has_next():
-                out.append(it.next_item())
-            return out
-
-        it.open(ctx)
-        first = pull()
-        it.reset(ctx)
-        second = pull()
-        it.close()
+        first = list(it.iter_items(ctx))
+        second = list(it.iter_items(ctx))
         assert first == second == expected
 
     def test_json_file_streams(self, local_engine, tmp_path):
-        # A source pulls lazily: opening it parses line 1 only, and the
-        # malformed line 2 raises when next_item advances onto it.
+        # A source pulls lazily: the first next() parses line 1 only,
+        # and the malformed line 2 raises when the second reaches it.
         import json
 
         p = tmp_path / "bad.json"
         p.write_text('{"a": 1}\n{not json\n')
-        it = local_engine.compile(f'json-file("{p}")')
-        it.open(local_engine._ctx())
-        assert it.has_next()
+        pull = local_engine.compile(f'json-file("{p}")').iter_items(local_engine._ctx())
+        assert next(pull) == {"a": 1}
         with pytest.raises(json.JSONDecodeError):
-            it.next_item()
-        it.close()
+            next(pull)
+        pull.close()
 
     def test_built_evaluator_is_not_pickled(self, local_engine):
         from pyspark import cloudpickle

@@ -76,9 +76,3 @@ class TestScopeChecks:
     def test_inner_var_not_visible_in_outer(self):
         with pytest.raises(StaticError):
             check(parse("for $x in (for $y in (1) return $y) return $y"))
-
-    def test_free_variables_with_seed(self):
-        assert check(parse("$a + $b"), bound={"a", "b"}) == {"a", "b"}
-
-    def test_bound_variables_not_reported_free(self):
-        assert check(parse("for $x in (1) return $x")) == set()
