@@ -39,8 +39,8 @@ class DynamicContext:
 
     ``variables`` maps variable name → materialized sequence. The
     context item (``$$``) is set by predicate iterators. Contexts are
-    copied on extension, except that a FLWOR runner writes a tuple's
-    ``let`` bindings into the tuple's copy."""
+    copied on extension. Generated code holds its own variables in
+    Python locals and builds a context only for a node that reads one."""
 
     variables: dict[str, Sequence] = field(default_factory=dict)
     context_item: Item = None
@@ -49,7 +49,7 @@ class DynamicContext:
 
     def child(self, bindings=()) -> "DynamicContext":
         """A copy with its own variables, overridden by ``bindings``; a
-        FLWOR keeps the focus. Once per tuple, so no ``__init__`` call."""
+        FLWOR keeps the focus. Called per row, so no ``__init__`` call."""
         ctx = object.__new__(DynamicContext)
         ctx.__dict__.update(self.__dict__, variables={**self.variables, **dict(bindings)})
         return ctx

@@ -4,8 +4,9 @@ Each clause consumes a tuple stream and produces one. Every clause is a
 row-local part (``row_clauses``), the §4.7 keys that part encodes
 (``key_specs``) and a step over the whole stream that reads them
 (``stream_local``, ``stream_df``). ``for``, ``let`` and ``where`` are
-their own row-local part, run by :func:`bind_rows` over one dynamic
-context per tuple; ``group by``, ``order by`` and ``count`` define only
+their own row-local part; each writes its code into the one generated
+function of a row pipeline (:func:`row_function`): a loop, a local, a
+``continue``. ``group by``, ``order by`` and ``count`` define only
 their keys and stream step. :class:`ClauseIterator` holds the only
 runners: ``apply_local`` over dict tuples (§5.5) and ``apply_df`` over
 a :class:`~repro.core.flwor.frame.TupleFrame` (§4.3), whose one Arrow
@@ -18,19 +19,15 @@ from a ``json-file()`` without one.
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+import itertools
+from typing import Callable, Iterable, Iterator
 
 from pyspark.sql import Observation, functions as F
 from pyspark.sql.types import StringType, StructField, StructType
 
+from ..codegen import Emitter, Built
 from ..dynamic_context import DynamicContext
-from ..items import (
-    TYPE_NUMBER,
-    check_orderable_types,
-    dumps_seq,
-    effective_boolean_value,
-    encode_key,
-)
+from ..items import TYPE_NUMBER, check_orderable_types, dumps_seq
 from ..iterators.base import RuntimeIterator, active_spark
 from ..iterators.basic import VarRefIterator
 from ..query_scope import checkpoint
@@ -39,7 +36,7 @@ from .frame import KEY_FIELDS, TupleFrame, local_pass
 LocalTuple = dict  # var name -> sequence of items
 
 
-class ClauseIterator:
+class ClauseIterator(Built):
     """Base of all clause runtime iterators, and their only runners."""
 
     def exprs(self) -> list[RuntimeIterator]:
@@ -69,18 +66,21 @@ class ClauseIterator:
     def apply_local(self, tuples: Iterable[LocalTuple], outer_ctx: DynamicContext,
                     before=()) -> Iterator[LocalTuple]:
         """This clause over dict tuples of the FLWOR's own variables."""
-        clauses = [*before, *self.row_clauses()]
-        bind = bind_rows(clauses)
-        bound = [v for c in clauses for v in c.binds()]
-        encoders = [(expr.evaluator(), eg, label) for expr, eg, label in self.key_specs()]
+        keys = self.key_specs()
+
+        def sink(b: Emitter, env: dict[str, str]) -> None:
+            # Each key is evaluated and encoded before the next one.
+            encoded = [b.value(f"encode_key({b.emit(expr, env)}, "
+                               f"empty_greatest={b.const(eg)}, clause={b.const(label)})")
+                       for expr, eg, label in keys]
+            tup = ", ".join(f"{b.const(v)}: {local}" for v, local in env.items())
+            b.line(f"yield {{{tup}}}, [{', '.join(encoded)}]")
 
         def pairs():
-            for tup in tuples:
-                names = dict.fromkeys([*tup, *bound])
-                for ctx in bind(outer_ctx.child(tup)):
-                    yield ({v: ctx.variables[v] for v in names},
-                           [encode_key(evaluate(ctx), empty_greatest=eg, clause=label)
-                            for evaluate, eg, label in encoders])
+            names, stream = peek_names(tuples)
+            run = self.built((tuple(before), names), lambda: row_function(
+                named_rows(names), [*before, *self.row_clauses()], sink))
+            yield from run(outer_ctx, stream)
 
         return self.stream_local(pairs())
 
@@ -144,17 +144,27 @@ class ForClauseIterator(RowLocalClause):
             df = active_spark().createDataFrame(rows, schema=schema, verifySchema=False)
         return TupleFrame(df, {self.var: col})
 
-    def bind_each(self, ctx: DynamicContext, items) -> Iterator[DynamicContext]:
-        """One child context per item, pulled one at a time (§5.5): the
-        initial `for` over json-file() must not hold the input in memory
-        — that streaming is exactly what lets the Zorba-like engine run
-        the filter query at any size while group/sort blow up (Fig. 12)."""
-        var, pos = self.var, self.position_var
-        idx = 0
-        for idx, item in enumerate(items, 1):
-            yield ctx.child({var: [item], pos: [idx]} if pos else {var: [item]})
-        if idx == 0 and self.allowing_empty:
-            yield ctx.child({var: [], pos: [0]} if pos else {var: []})
+    def emit_row(self, b: Emitter, env: dict[str, str]) -> dict[str, str]:
+        return self.emit_loop(b, env, b.iterate(self.expr, env))
+
+    def emit_loop(self, b: Emitter, env: dict[str, str], items: str) -> dict[str, str]:
+        """A loop over ``items`` that binds each one, open to the end of
+        the pipeline. It pulls one item at a time (§5.5): the initial
+        `for` over json-file() must not hold the input in memory — that
+        streaming is exactly what lets the Zorba-like engine run the
+        filter query at any size while group/sort blow up (Fig. 12)."""
+        var, item, pos = b.tmp("v"), b.tmp(), b.tmp("p")
+        if self.allowing_empty:
+            b.open(f"for {pos}, {var} in allowing_empty({items})")
+        else:
+            b.open(f"for {pos}, {item} in enumerate({items}, 1)" if self.position_var
+                   else f"for {item} in {items}")
+            b.line(f"{var} = [{item}]")
+        env = {**env, self.var: var}
+        if self.position_var:
+            env[self.position_var] = b.tmp("v")
+            b.line(f"{env[self.position_var]} = [{pos}]")
+        return env
 
 
 class LetClauseIterator(RowLocalClause):
@@ -170,6 +180,11 @@ class LetClauseIterator(RowLocalClause):
     def binds(self):
         return [self.var]
 
+    def emit_row(self, b: Emitter, env: dict[str, str]) -> dict[str, str]:
+        var = b.tmp("v")
+        b.line(f"{var} = {b.emit(self.expr, env)}")
+        return {**env, self.var: var}
+
 
 class WhereClauseIterator(RowLocalClause):
     """``where e`` — selection by effective boolean value (§4.6)."""
@@ -180,41 +195,65 @@ class WhereClauseIterator(RowLocalClause):
     def exprs(self) -> list[RuntimeIterator]:
         return [self.expr]
 
+    def emit_row(self, b: Emitter, env: dict[str, str]) -> dict[str, str]:
+        seq = b.value(b.emit(self.expr, env))
+        # [True] and [False] decide without a call.
+        with b.block(f"if {seq} != TRUE and ({seq} == FALSE or not ebv({seq}))"):
+            b.line("continue")
+        return env
 
-_TRUE, _FALSE = [True], [False]
+
+def row_function(head: Callable[[Emitter], dict[str, str]], clauses: list[ClauseIterator],
+                 sink: Callable[[Emitter, dict[str, str]], None]) -> Callable:
+    """One generated function ``f(ctx, rows)`` for a row pipeline:
+    ``head`` opens the loop over ``rows`` and binds each row's
+    variables, the row-local ``clauses`` follow (a ``for`` nests a
+    loop, a ``let`` binds a local, a ``where`` continues), and ``sink``
+    yields what each resulting tuple gives. ``ctx`` holds the variables
+    bound outside the FLWOR. Build it where it runs: the tree pickles
+    without it."""
+    b = Emitter()
+    env = head(b)
+    for i, clause in enumerate(clauses):
+        if b.depth > _NESTED_LOOPS:
+            # Python compiles at most 20 nested loops: the rest of the
+            # pipeline is a function of its own, over this one tuple.
+            rest = row_function(named_rows(tuple(env)), clauses[i:], sink)
+            tup = ", ".join(f"{b.const(v)}: {local}" for v, local in env.items())
+            b.line(f"yield from {b.const(rest)}(ctx, ({{{tup}}},))")
+            return b.function("ctx, rows")
+        env = clause.emit_row(b, env)
+    sink(b, env)
+    return b.function("ctx, rows")
 
 
-def bind_rows(clauses: list[ClauseIterator]):
-    """Row-local ``clauses`` as a function from an incoming tuple's
-    context to the contexts of the tuples it becomes. ``let`` and
-    ``where`` are steps in place on that context; a ``for`` gives each
-    item a child context, so writes never leak between items. Build it
-    where it runs: it holds evaluators."""
-    split = next((i for i, c in enumerate(clauses) if isinstance(c, ForClauseIterator)),
-                 len(clauses))
-    if split < len(clauses):
-        head, fan, rest = bind_rows(clauses[:split]), clauses[split], bind_rows(clauses[split + 1:])
+#: The nesting a pipeline's clauses may reach in one function, leaving
+#: room for the loops of the expressions inside.
+_NESTED_LOOPS = 10
 
-        def fan_out(ctx: DynamicContext) -> Iterator[DynamicContext]:
-            for tup in head(ctx):
-                for child in fan.bind_each(tup, fan.expr.iter_items(tup)):
-                    yield from rest(child)
 
-        return fan_out
-    steps = [(c.var if isinstance(c, LetClauseIterator) else None, c.expr.evaluator())
-             for c in clauses]
+def named_rows(names: tuple[str, ...], cells: bool = False):
+    """A head over rows of ``names``: dict tuples, or with ``cells`` rows
+    of their serialized cells, each decoded once."""
+    def head(b: Emitter) -> dict[str, str]:
+        b.open("for row in rows")
+        env = {name: b.tmp("v") for name in names}
+        for i, (name, local) in enumerate(env.items()):
+            b.line(f"{local} = loads_seq(row[{i}])" if cells else
+                   f"{local} = row[{b.const(name)}]")
+        return env
 
-    def bind(ctx: DynamicContext) -> tuple[DynamicContext, ...]:
-        for var, evaluate in steps:
-            seq = evaluate(ctx)
-            if var is not None:
-                ctx.variables[var] = seq
-            # [True] and [False] decide without a call.
-            elif seq != _TRUE and (seq == _FALSE or not effective_boolean_value(seq)):
-                return ()
-        return (ctx,)
+    return head
 
-    return bind
+
+def peek_names(tuples: Iterable[LocalTuple]) -> tuple[tuple[str, ...], Iterator[LocalTuple]]:
+    """The variables of a dict tuple stream, read from its first tuple
+    (every tuple of a stream binds the same ones), and the stream."""
+    stream = iter(tuples)
+    first = next(stream, None)
+    if first is None:
+        return (), stream
+    return tuple(first), itertools.chain([first], stream)
 
 
 class GroupByClauseIterator(ClauseIterator):

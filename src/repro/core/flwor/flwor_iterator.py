@@ -18,17 +18,19 @@ clauses exchange tuple streams. This iterator glues the two worlds:
   items that parent expressions consume without materialization.
 * **Local execution** — otherwise the same segments run locally
   (§5.5) through ``apply_local``; dict tuples cross the stream clauses.
-  Every runner builds one dynamic context per tuple for
-  ``clauses.bind_rows``.
+
+Every pass over rows (the segment passes, the return pass, the local
+clauses) is one generated function (``clauses.row_function``).
 """
 from __future__ import annotations
 
-from typing import Iterable, Iterator
+from typing import Callable, Iterator
 
 from ..dynamic_context import DynamicContext
-from ..items import Item, loads_seq
+from ..items import Item
 from ..iterators.base import RuntimeIterator
-from .clauses import ClauseIterator, ForClauseIterator, RowLocalClause, bind_rows
+from .clauses import (ClauseIterator, ForClauseIterator, RowLocalClause, named_rows,
+                      peek_names, row_function)
 from .frame import TupleFrame
 
 
@@ -42,19 +44,22 @@ class FLWORIterator(RuntimeIterator):
         self.clauses = clauses
         self.return_expr = return_expr
 
-    def _run_tail(self, tail: list[ClauseIterator]):
-        """A function from the incoming tuples' contexts, through the
-        row-local ``tail``, to the return items. It captures no
-        ``self``, so it ships to executors as it is."""
-        ret = self.return_expr
+    def _return_pass(self, rows: str, names: tuple[str, ...] = ()) -> Callable:
+        """The generated ``f(ctx, rows)`` from rows, through the
+        row-local tail after the last stream clause, to the return
+        items. A row is an item of the initial ``for`` (``"items"``, no
+        stream clause), a row of ``names``' cells (``"cells"``) or a
+        dict tuple of ``names`` (``"tuples"``)."""
+        def build() -> Callable:
+            if rows == "items":
+                head, tail = (lambda b: self.clauses[0].emit_loop(b, {}, "rows")), self.clauses[1:]
+            else:
+                head = named_rows(names, cells=rows == "cells")
+                tail = self.clauses[self._stream_end():]
+            return row_function(head, tail, lambda b, env: b.line(
+                f"yield from {b.emit(self.return_expr, env)}"))
 
-        def run(contexts: Iterable[DynamicContext]) -> Iterator[Item]:
-            bind, evaluate = bind_rows(tail), ret.evaluator()
-            for tup in contexts:
-                for ctx in bind(tup):
-                    yield from evaluate(ctx)
-
-        return run
+        return self.built((rows, names), build)
 
     # ------------------------------------------------------------------
     # RDD/DataFrame path
@@ -94,17 +99,14 @@ class FLWORIterator(RuntimeIterator):
     def _return_rdd(self, ctx: DynamicContext, tframe: TupleFrame | None):
         # Return clause (§4.10) with the row-local tail: one pass per
         # partition maps each tuple to its items — one flat RDD. The
-        # tuple contexts come from the initial `for`'s items without a
-        # prefix frame, else from the frame's rows, each decoded once.
-        run = self._run_tail(self.clauses[self._stream_end() or 1:])
+        # tuples come from the initial `for`'s items without a prefix
+        # frame, else from the frame's rows, each cell decoded once.
         if tframe is None:
-            first = self.clauses[0]
-            return first.expr.get_rdd(ctx).mapPartitions(
-                lambda items: run(first.bind_each(ctx, items)))
-        names = list(tframe.columns)
+            return self.clauses[0].expr.get_rdd(ctx).mapPartitions(
+                lambda items: self._return_pass("items")(ctx, items))
+        names = tuple(tframe.columns)
         rows = tframe.df.select(*[tframe.columns[v] for v in names]).rdd
-        return rows.mapPartitions(
-            lambda part: run(ctx.child(zip(names, map(loads_seq, row))) for row in part))
+        return rows.mapPartitions(lambda part: self._return_pass("cells", names)(ctx, part))
 
     # ------------------------------------------------------------------
     # Local path
@@ -113,8 +115,8 @@ class FLWORIterator(RuntimeIterator):
         tuples = [{}]  # dict tuples cross each stream clause
         for clause, before in self._segments(0):
             tuples = clause.apply_local(tuples, ctx, before)
-        yield from self._run_tail(self.clauses[self._stream_end():])(
-            ctx.child(tup) for tup in tuples)
+        names, tuples = peek_names(tuples)
+        yield from self._return_pass("tuples", names)(ctx, tuples)
 
     def _tree_label(self) -> str:
         return f"[{', '.join(type(c).__name__ for c in self.clauses)}]"

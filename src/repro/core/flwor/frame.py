@@ -16,12 +16,13 @@ encoding (a group-by's keys and counts), the frame also keeps it as a
 
 This module is the one tuple-cell codec. :func:`local_pass` is the
 paper's ``EVALUATE_EXPRESSION`` UDF for a whole segment: one Arrow pass
-decodes each row's cells once into the tuple's dynamic context, runs it
-through the row-local clauses (executors never nest Spark jobs, §5.6),
-and writes the cells in scope plus the §4.7 typed encoding of the
-following stream clause's keys. A cell that no clause of the segment
-binds is written back as it came in. It is the one place a segment
-runs on Spark: ``ClauseIterator.apply_df`` calls it for every clause.
+runs one generated function (:func:`segment_rows`) that decodes each
+row's cells once into locals, runs the tuple through the row-local
+clauses (executors never nest Spark jobs, §5.6), and writes the cells
+in scope plus the §4.7 typed encoding of the following stream clause's
+keys. A cell that no clause of the segment binds is written back as it
+came in. It is the one place a segment runs on Spark:
+``ClauseIterator.apply_df`` calls it for every clause.
 """
 from __future__ import annotations
 
@@ -39,7 +40,7 @@ from pyspark.sql.types import (
 )
 
 from ..dynamic_context import DynamicContext
-from ..items import TYPE_EMPTY_GREATEST, TYPE_EMPTY_LEAST, dumps_seq, encode_key, loads_seq
+from ..items import TYPE_EMPTY_GREATEST, TYPE_EMPTY_LEAST
 from ..iterators.basic import VarRefIterator
 
 #: Schema of one encoded grouping/ordering key (§4.7): the three native
@@ -77,34 +78,28 @@ class TupleFrame:
         return f"c{self._fresh}_{safe}"
 
 
-def segment_rows(clauses, outer_ctx: DynamicContext, names: list[str],
-                 out_vars: list[str], keys):
-    """The per-row work of :func:`local_pass`: rows of ``names``' cells
-    to the rows of ``out_vars``' cells and key structs they become."""
-    from .clauses import bind_rows
+def segment_rows(clauses, names: list[str], out_vars: list[str], keys):
+    """The generated per-row work of :func:`local_pass`, ``f(ctx, rows)``:
+    rows of ``names``' cells to the rows of ``out_vars``' cells and key
+    structs they become."""
+    from .clauses import named_rows, row_function
 
-    # A variable no clause binds keeps its incoming cell (its index in
-    # ``names``); only a bound one is encoded again.
+    # A variable no clause binds keeps its incoming cell; only a bound
+    # one is encoded again.
     bound = {v for clause in clauses for v in clause.binds()}
-    plan = [v if v in bound else names.index(v) for v in out_vars]
 
-    def run(rows) -> list[list]:
-        bind = bind_rows(clauses)
-        encoders = [(expr.evaluator(), eg, label) for expr, eg, label in keys]
-        out = []
-        for cells in rows:
-            for ctx in bind(outer_ctx.child(zip(names, map(loads_seq, cells)))):
-                # A NULL cell is the empty sequence.
-                row = [cells[p] or "[]" if isinstance(p, int) else dumps_seq(ctx.variables[p])
-                       for p in plan]
-                for evaluate, empty_greatest, label in encoders:
-                    seq = evaluate(ctx)
-                    row.append((*encode_key(seq, empty_greatest=empty_greatest,
-                                            clause=label), dumps_seq(seq)))
-                out.append(row)
-        return out
+    def sink(b, env):
+        # A NULL cell is the empty sequence.
+        cells = [f"dumps_seq({env[v]})" if v in bound else f"(row[{names.index(v)}] or EMPTY)"
+                 for v in out_vars]
+        for expr, empty_greatest, label in keys:
+            seq = b.value(b.emit(expr, env))
+            cells.append(b.value(
+                f"(*encode_key({seq}, empty_greatest={b.const(empty_greatest)}, "
+                f"clause={b.const(label)}), dumps_seq({seq}))"))
+        b.line(f"yield [{', '.join(cells)}]")
 
-    return run
+    return row_function(named_rows(names, cells=True), clauses, sink)
 
 
 def local_pass(tframe: TupleFrame, clauses, outer_ctx: DynamicContext,
@@ -144,11 +139,12 @@ def local_pass(tframe: TupleFrame, clauses, outer_ctx: DynamicContext,
         + [StructField(k, KEY_STRUCT, False) for k in key_cols])
     arrow_schema = to_arrow_schema(schema)
     in_cols = list(tframe.columns.values())
-    segment = segment_rows(clauses, outer_ctx, list(tframe.columns), list(out.columns), keys)
+    names, out_vars = list(tframe.columns), list(out.columns)
 
     def run(batches):
+        segment = segment_rows(clauses, names, out_vars, keys)
         for batch in batches:
-            rows = segment(zip(*[batch.column(c).to_pylist() for c in in_cols]))
+            rows = segment(outer_ctx, zip(*[batch.column(c).to_pylist() for c in in_cols]))
             cols = list(zip(*rows)) or [()] * len(arrow_schema)
             yield pa.RecordBatch.from_arrays(
                 [pa.array(c, type=f.type) for c, f in zip(cols, arrow_schema)],

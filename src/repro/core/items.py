@@ -63,11 +63,18 @@ def dumps_seq(seq: Sequence) -> str:
     return _ENCODER.encode(seq)
 
 
-#: Maps each ASCII digit byte to ``0`` and every other byte to a space.
-_DIGITS = bytes(48 if 48 <= b <= 57 else 32 for b in range(256))
+#: Maps each ASCII digit byte to ``0``, ``[`` and ``{`` to ``[``, and
+#: every other byte to a space.
+_MASK = bytes(48 if 48 <= b <= 57 else 91 if b in b"[{" else 32 for b in range(256))
 #: orjson turns an integer literal outside [-2^63, 2^64) into a float;
 #: every such literal holds a run of at least 19 digits.
 _LONG_DIGIT_RUN = b"0" * 19
+#: orjson has no nesting limit, where stdlib raises ``RecursionError``
+#: near Python's recursion limit (~1,000 levels). Text with this many
+#: opening brackets may nest that deep. Valid JSON closes each one, so
+#: shorter text than twice this is malformed or has fewer: it needs no
+#: count, and orjson's error on malformed text sends it to stdlib.
+_DEEP = 500
 
 
 def loads(text: str) -> Item:
@@ -77,9 +84,12 @@ def loads(text: str) -> Item:
     ``Infinity``, ``1e400``, lone surrogates): those, and malformed
     text, fall back to stdlib, which decodes them or raises its own
     ``JSONDecodeError``. Text holding 19 or more digits in a row, which
-    may be an integer orjson would turn into a float, goes straight to
-    stdlib; a digit run inside a string only costs speed."""
-    if _LONG_DIGIT_RUN not in text.encode("utf-8", "surrogatepass").translate(_DIGITS):
+    may be an integer orjson would turn into a float, and text holding
+    500 or more opening brackets, which may nest too deep for stdlib,
+    go straight to stdlib; a digit run or bracket inside a string only
+    costs speed."""
+    mask = text.encode("utf-8", "surrogatepass").translate(_MASK)
+    if _LONG_DIGIT_RUN not in mask and (len(mask) < 2 * _DEEP or mask.count(b"[") < _DEEP):
         try:
             return orjson.loads(text)
         except orjson.JSONDecodeError:

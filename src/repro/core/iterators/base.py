@@ -3,14 +3,15 @@
 Expression runtime iterators return *items* and expose two APIs between
 which the engine switches seamlessly:
 
-* **local execution** — one ``ctx -> list`` evaluator per iterator,
-  built once per tree and pass (per partition on executors, per query
-  on the driver) and called by :meth:`materialize`. Most nodes
-  implement :meth:`_compile`, a closure that calls its children's
-  closures directly, with literal operands folded at build time.
-  *Sequence sources* (``is_source``: ``json-file()``, ``parallelize()``,
-  a FLWOR, ``to``) keep a streaming ``_iterate_local`` generator, so a
-  ``for`` clause or ``count()`` never holds their whole sequence.
+* **local execution** — one ``ctx -> list`` evaluator per tree root,
+  generated once per tree and pass (per partition on executors, per
+  query on the driver) and called by :meth:`materialize`. Every node
+  but a source implements :meth:`_emit`, the source fragment of its
+  evaluation, and the fragments of a tree are one Python function
+  (:mod:`repro.core.codegen`). *Sequence sources* (``is_source``:
+  ``json-file()``, ``parallelize()``, a FLWOR, ``to``) keep a streaming
+  ``_iterate_local`` generator, so a ``for`` clause or ``count()``
+  never holds their whole sequence.
   The §5.5 pull protocol is the Python iterator :meth:`iter_items`
   returns: ``open`` is the call, ``hasNext`` / ``next`` are ``next()``
   and ``StopIteration``, ``close`` is a source generator's ``close()``
@@ -21,27 +22,29 @@ which the engine switches seamlessly:
   subclasses that can produce their sequence as an RDD of items
   override both.
 
-Only a node with a source below it can be RDD-backed, so only its
-evaluator checks ``supports_rdd`` per call and, when the sequence *is*
-an RDD, collects it up to the configured materialization cap (§5.5).
+Only a node with a source below it can be RDD-backed, so only such a
+node checks ``supports_rdd`` per call, in its own evaluator, and, when
+the sequence *is* an RDD, collects it up to the configured
+materialization cap (§5.5). Generated code calls that evaluator.
 Conversely, aggregating iterators (``count()``...) check
 ``supports_rdd`` on their children and run Spark actions instead of
 streaming (§5.5 last paragraph).
 
 Iterators are pure picklable objects: they never hold a SparkSession,
-and the evaluator is left out of the pickled state. ``get_rdd`` fetches
-the active session at call time (driver only); on executors — where
-closures carrying nested iterators are evaluated via the local API,
-because "Spark jobs do not nest" (§5.6) — :func:`spark_enabled` is
-False, so the sources below every RDD-backed expression report no RDD
-support and evaluation stays local.
+and the generated functions are left out of the pickled state.
+``get_rdd`` fetches the active session at call time (driver only); on
+executors — where closures carrying nested iterators are evaluated via
+the local API, because "Spark jobs do not nest" (§5.6) —
+:func:`spark_enabled` is False, so the sources below every RDD-backed
+expression report no RDD support and evaluation stays local.
 """
 from __future__ import annotations
 
 import warnings
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator
 
 from ...jsoniq.errors import RumbleError
+from .. import codegen
 from ..dynamic_context import DynamicContext
 from ..items import Item, Sequence
 
@@ -65,7 +68,7 @@ def spark_enabled(ctx: DynamicContext) -> bool:
     return not ctx.config.force_local and active_spark() is not None
 
 
-class RuntimeIterator:
+class RuntimeIterator(codegen.Built):
     """Base of all expression runtime iterators."""
 
     #: Sequence sources set this: their sequence may be an RDD, or too
@@ -74,12 +77,6 @@ class RuntimeIterator:
 
     def __init__(self, children: list["RuntimeIterator"] | None = None):
         self.children: list[RuntimeIterator] = children or []
-        self._eval: Optional[Evaluator] = None
-
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state["_eval"] = None
-        return state
 
     # ------------------------------------------------------------------
     # Evaluation: the one local entry point of every consumer
@@ -98,33 +95,15 @@ class RuntimeIterator:
         return iter(self.materialize(ctx))
 
     def evaluator(self) -> Evaluator:
-        """The ``ctx -> list`` closure of this iterator, built on first
-        use and kept until the tree is pickled."""
+        """The generated ``ctx -> list`` function of this iterator,
+        built on first use and kept until the tree is pickled."""
         if self._eval is None:
-            self._eval = self._build_evaluator()
+            self._eval = codegen.evaluator(self)
         return self._eval
-
-    def _build_evaluator(self) -> Evaluator:
-        local = self._compile()
-        if not self.is_source and not self._has_source():
-            return local  # never RDD-backed
-
-        def evaluate(ctx: DynamicContext) -> Sequence:
-            if self.supports_rdd(ctx):
-                return self._collect_capped(ctx)
-            return local(ctx)
-
-        return evaluate
 
     def _has_source(self) -> bool:
         """Whether a sequence source lies below this node."""
         return any(c.is_source or c._has_source() for c in self.children)
-
-    def _compile(self) -> Evaluator:
-        """The local evaluation closure. A source lists what its
-        ``_iterate_local`` generator yields; every other node overrides
-        this."""
-        return lambda ctx: list(self._iterate_local(ctx))
 
     def _iterate_local(self, ctx: DynamicContext) -> Iterator[Item]:
         raise NotImplementedError(type(self).__name__)

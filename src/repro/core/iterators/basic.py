@@ -4,10 +4,11 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from ...jsoniq.errors import DynamicError, TypeError_
+from ...jsoniq.errors import TypeError_
+from ..codegen import FOCUS
 from ..dynamic_context import DynamicContext
 from ..items import Item, effective_boolean_value, is_number, to_integer
-from .base import Evaluator, RuntimeIterator
+from .base import RuntimeIterator
 
 
 class LiteralIterator(RuntimeIterator):
@@ -17,9 +18,8 @@ class LiteralIterator(RuntimeIterator):
         super().__init__()
         self.value = value
 
-    def _compile(self) -> Evaluator:
-        value = self.value
-        return lambda ctx: [value]
+    def _emit(self, b, env):
+        return b.const([self.value])
 
     def _tree_label(self) -> str:
         return repr(self.value)
@@ -27,8 +27,8 @@ class LiteralIterator(RuntimeIterator):
 
 def literal_value(it: RuntimeIterator, type_: type):
     """The value of ``it`` when it is a literal of ``type_`` (booleans
-    excluded), for a parent to fold into its closure at build time;
-    None otherwise."""
+    excluded), for a parent to fold into its code at build time; None
+    otherwise."""
     if isinstance(it, LiteralIterator) and isinstance(it.value, type_) \
             and not isinstance(it.value, bool):
         return it.value
@@ -38,8 +38,8 @@ def literal_value(it: RuntimeIterator, type_: type):
 class EmptySequenceIterator(RuntimeIterator):
     """``()``."""
 
-    def _compile(self) -> Evaluator:
-        return lambda ctx: []
+    def _emit(self, b, env):
+        return "[]"
 
 
 class VarRefIterator(RuntimeIterator):
@@ -49,14 +49,9 @@ class VarRefIterator(RuntimeIterator):
         super().__init__()
         self.name = name
 
-    def _compile(self) -> Evaluator:
-        name = self.name
-
-        def evaluate(ctx: DynamicContext):
-            seq = ctx.variables.get(name)
-            return seq if seq is not None else ctx.lookup(name)
-
-        return evaluate
+    def _emit(self, b, env):
+        # A variable bound outside the generated function is in ``ctx``.
+        return env.get(self.name) or f"ctx.lookup({b.const(self.name)})"
 
     def _tree_label(self) -> str:
         return f"${self.name}"
@@ -65,29 +60,20 @@ class VarRefIterator(RuntimeIterator):
 class ContextItemIterator(RuntimeIterator):
     """``$$`` — the context item bound by the enclosing predicate."""
 
-    def _compile(self) -> Evaluator:
-        def evaluate(ctx: DynamicContext):
-            if not ctx.has_context_item:
-                raise DynamicError("'$$' evaluated with no context item")
-            return [ctx.context_item]
-
-        return evaluate
+    def _emit(self, b, env):
+        return f"[{env[FOCUS]}]" if FOCUS in env else "focus(ctx)"
 
 
 class SequenceConcatIterator(RuntimeIterator):
     """Comma expression — concatenates child sequences (sequences are
     flat and never nest, §2.3)."""
 
-    def _compile(self) -> Evaluator:
-        parts = [c.evaluator() for c in self.children]
-
-        def evaluate(ctx: DynamicContext):
-            out = []
-            for part in parts:
-                out.extend(part(ctx))
-            return out
-
-        return evaluate
+    def _emit(self, b, env):
+        out = b.tmp()
+        b.line(f"{out} = []")
+        for child in self.children:
+            b.line(f"{out}.extend({b.emit(child, env)})")
+        return out
 
 
 class RangeIterator(RuntimeIterator):
@@ -110,10 +96,14 @@ class RangeIterator(RuntimeIterator):
 class IfIterator(RuntimeIterator):
     """``if (c) then e1 else e2`` over the effective boolean value of c."""
 
-    def _compile(self) -> Evaluator:
-        cond, then, else_ = (c.evaluator() for c in self.children)
-        return lambda ctx: (
-            then(ctx) if effective_boolean_value(cond(ctx)) else else_(ctx))
+    def _emit(self, b, env):
+        cond, then, else_ = self.children
+        out = b.tmp()
+        with b.block(f"if ebv({b.emit(cond, env)})"):
+            b.line(f"{out} = {b.emit(then, env)}")
+        with b.block("else"):
+            b.line(f"{out} = {b.emit(else_, env)}")
+        return out
 
 
 class QuantifiedIterator(RuntimeIterator):
@@ -129,21 +119,18 @@ class QuantifiedIterator(RuntimeIterator):
         self.sources = sources
         self.satisfies = satisfies
 
-    def _compile(self) -> Evaluator:
+    def _emit(self, b, env):
+        return f"[{b.const(self._holds)}({b.context(env)}, 0)]"
+
+    def _holds(self, ctx: DynamicContext, depth: int) -> bool:
         some = self.kind == "some"
-        bindings = list(zip(self.var_names, self.sources))
-        satisfies = self.satisfies.evaluator()
-
-        def holds(ctx: DynamicContext, depth: int) -> bool:
-            if depth == len(bindings):
-                return effective_boolean_value(satisfies(ctx))
-            name, src = bindings[depth]
-            for item in src.iter_items(ctx):
-                if holds(ctx.child({name: [item]}), depth + 1) is some:
-                    return some
-            return not some
-
-        return lambda ctx: [holds(ctx, 0)]
+        if depth == len(self.sources):
+            return effective_boolean_value(self.satisfies.materialize(ctx))
+        name, src = self.var_names[depth], self.sources[depth]
+        for item in src.iter_items(ctx):
+            if self._holds(ctx.child({name: [item]}), depth + 1) is some:
+                return some
+        return not some
 
     def _tree_label(self) -> str:
         return self.kind

@@ -1,8 +1,8 @@
 """Builtin function library (paper §2.3, §5.7).
 
 Most functions are *value functions*: ``impl(*sequences)`` over their
-arguments' evaluated sequences, called straight from the call's
-closure. A *lazy* function (``register(..., lazy=True)``) takes
+arguments' evaluated sequences, called straight from the generated
+code. A *lazy* function (``register(..., lazy=True)``) takes
 ``(args, ctx)`` and reads its sequence argument itself, so it can
 stream it, stop at the first item or run a Spark action on it.
 Aggregations (``count``, ``sum``, ...) follow §5.5: when the argument
@@ -23,7 +23,7 @@ from typing import Callable, Iterable
 from ...jsoniq.errors import DynamicError, StaticError, TypeError_
 from ..dynamic_context import DynamicContext
 from ..items import Item, effective_boolean_value, is_atomic, is_number, kind, to_integer
-from .base import Evaluator, RuntimeIterator
+from .base import RuntimeIterator
 from .operators import atomic_to_string, to_concat_str
 
 # registry: name -> (min_args, max_args, impl, lazy)
@@ -56,16 +56,14 @@ class FunctionCallIterator(RuntimeIterator):
         self.name = name
         validate_call(name, len(args))
 
-    def _compile(self) -> Evaluator:
+    def _emit(self, b, env):
         _, _, impl, lazy = _REGISTRY[self.name]
+        fn = b.const(impl)
         if lazy:
-            args = self.children
-            return lambda ctx: impl(args, ctx)
-        evs = [c.evaluator() for c in self.children]
-        if len(evs) == 1:
-            (arg,) = evs
-            return lambda ctx: impl(arg(ctx))
-        return lambda ctx: impl(*[ev(ctx) for ev in evs])
+            return f"{fn}({b.const(self.children)}, {b.context(env)})"
+        args = [b.value(b.emit(c, env)) for c in self.children[:-1]]
+        args += [b.emit(c, env) for c in self.children[-1:]]
+        return f"{fn}({', '.join(args)})"
 
     # distinct-values keeps RDD form (§5.6); everything else is local.
     def supports_rdd(self, ctx: DynamicContext) -> bool:

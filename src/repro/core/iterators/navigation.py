@@ -9,10 +9,12 @@ runtime iterators, evaluated on executors via the local API (§5.6).
 from __future__ import annotations
 
 from ...jsoniq.errors import TypeError_
+from ..codegen import FOCUS
 from ..dynamic_context import DynamicContext
-from ..items import Item, effective_boolean_value, is_number
-from .base import Evaluator, RuntimeIterator
-from .basic import QuantifiedIterator, VarRefIterator, literal_value
+from ..items import Item, effective_boolean_value, is_number, to_integer
+from .base import RuntimeIterator
+from .basic import LiteralIterator, QuantifiedIterator, literal_value
+from .functions import FunctionCallIterator
 from .operators import BoolOpIterator, ComparisonIterator, NotIterator
 
 
@@ -23,6 +25,12 @@ def _lookup_one(item: Item, key: str):
     return []
 
 
+def _key_string(seq) -> str:
+    if len(seq) != 1 or not isinstance(seq[0], str):
+        raise TypeError_("object lookup key must be a single string")
+    return seq[0]
+
+
 class ObjectLookupIterator(RuntimeIterator):
     """``e.key`` — flatMap of a per-object lookup (§4.1.2)."""
 
@@ -31,34 +39,25 @@ class ObjectLookupIterator(RuntimeIterator):
         self.target = target
         self.key = key
 
-    def _key_string(self, ctx: DynamicContext) -> str:
-        seq = self.key.materialize(ctx)
-        if len(seq) != 1 or not isinstance(seq[0], str):
-            raise TypeError_("object lookup key must be a single string")
-        return seq[0]
-
-    def _compile(self) -> Evaluator:
-        target = self.target.evaluator()
+    def _emit(self, b, env):
+        # The key is evaluated before the target.
         folded = literal_value(self.key, str)
-        key_string = self._key_string
-        var = self.target.name if isinstance(self.target, VarRefIterator) else None
-
-        def evaluate(ctx: DynamicContext):
-            key = folded or key_string(ctx)
-            items = ctx.variables.get(var) if var else None  # `$v.key` in one closure
-            out = []
-            for item in target(ctx) if items is None else items:
-                if isinstance(item, dict) and key in item:
-                    out.append(item[key])
-            return out
-
-        return evaluate
+        if folded is not None:
+            key = b.const(folded)
+        else:
+            key = b.value(f"{b.const(_key_string)}({b.emit(self.key, env)})")
+        out, item = b.tmp(), b.tmp()
+        b.line(f"{out} = []")
+        with b.block(f"for {item} in {b.emit(self.target, env)}"):
+            with b.block(f"if isinstance({item}, dict) and {key} in {item}"):
+                b.line(f"{out}.append({item}[{key}])")
+        return out
 
     def supports_rdd(self, ctx: DynamicContext) -> bool:
         return self.target.supports_rdd(ctx)
 
     def get_rdd(self, ctx: DynamicContext):
-        key = self._key_string(ctx)
+        key = _key_string(self.key.materialize(ctx))
         return self.target.get_rdd(ctx).flatMap(lambda it: _lookup_one(it, key))
 
 
@@ -69,17 +68,13 @@ class ArrayUnboxIterator(RuntimeIterator):
         super().__init__([target])
         self.target = target
 
-    def _compile(self) -> Evaluator:
-        target = self.target.evaluator()
-
-        def evaluate(ctx: DynamicContext):
-            out = []
-            for item in target(ctx):
-                if isinstance(item, list):
-                    out.extend(item)
-            return out
-
-        return evaluate
+    def _emit(self, b, env):
+        out, item = b.tmp(), b.tmp()
+        b.line(f"{out} = []")
+        with b.block(f"for {item} in {b.emit(self.target, env)}"):
+            with b.block(f"if isinstance({item}, list)"):
+                b.line(f"{out}.extend({item})")
+        return out
 
     def supports_rdd(self, ctx: DynamicContext) -> bool:
         return self.target.supports_rdd(ctx)
@@ -90,6 +85,14 @@ class ArrayUnboxIterator(RuntimeIterator):
         )
 
 
+def _index_int(seq) -> int | None:
+    if not seq:
+        return None
+    if len(seq) != 1 or not is_number(seq[0]):
+        raise TypeError_("array lookup index must be a single number")
+    return to_integer(seq[0], "array lookup index")
+
+
 class ArrayLookupIterator(RuntimeIterator):
     """``e[[i]]`` — 1-based member lookup in each array item."""
 
@@ -98,35 +101,27 @@ class ArrayLookupIterator(RuntimeIterator):
         self.target = target
         self.index = index
 
-    def _index_int(self, ctx: DynamicContext) -> int | None:
-        seq = self.index.materialize(ctx)
-        if not seq:
-            return None
-        if len(seq) != 1 or not is_number(seq[0]):
-            raise TypeError_("array lookup index must be a single number")
-        return int(seq[0])
-
-    def _compile(self) -> Evaluator:
-        target = self.target.evaluator()
+    def _emit(self, b, env):
+        # The index is evaluated before the target, which an empty index
+        # does not evaluate.
         folded = literal_value(self.index, int)
-        index_int = self._index_int
-
-        def evaluate(ctx: DynamicContext):
-            i = folded or index_int(ctx)
-            out = []
-            if i is not None:
-                for item in target(ctx):
-                    if isinstance(item, list) and 1 <= i <= len(item):
-                        out.append(item[i - 1])
-            return out
-
-        return evaluate
+        if folded is not None:
+            i = b.const(folded)
+        else:
+            i = b.value(f"{b.const(_index_int)}({b.emit(self.index, env)})")
+        out, item = b.tmp(), b.tmp()
+        b.line(f"{out} = []")
+        with b.block(f"if {i} is not None"):
+            with b.block(f"for {item} in {b.emit(self.target, env)}"):
+                with b.block(f"if isinstance({item}, list) and 1 <= {i} <= len({item})"):
+                    b.line(f"{out}.append({item}[{i} - 1])")
+        return out
 
     def supports_rdd(self, ctx: DynamicContext) -> bool:
         return self.target.supports_rdd(ctx)
 
     def get_rdd(self, ctx: DynamicContext):
-        i = self._index_int(ctx)
+        i = _index_int(self.index.materialize(ctx))
         rdd = self.target.get_rdd(ctx)
         if i is None:
             return rdd.filter(lambda _: False)
@@ -146,8 +141,19 @@ def _keep(result, pos: int) -> bool:
     return effective_boolean_value(result)
 
 
-#: Predicate roots whose result is never a number, so never a position.
-_BOOLEAN_ROOTS = (ComparisonIterator, BoolOpIterator, NotIterator, QuantifiedIterator)
+#: Builtins whose result is never a number.
+_BOOLEAN_FUNCTIONS = {"exists", "empty", "boolean", "not", "contains", "starts-with",
+                      "ends-with"}
+
+
+def _is_boolean(pred: RuntimeIterator) -> bool:
+    """Whether ``pred``'s result is never a number, so never a position."""
+    if isinstance(pred, LiteralIterator):
+        return isinstance(pred.value, bool)
+    if isinstance(pred, FunctionCallIterator):
+        return pred.name in _BOOLEAN_FUNCTIONS
+    return isinstance(pred, (ComparisonIterator, BoolOpIterator, NotIterator,
+                             QuantifiedIterator))
 
 
 class PredicateIterator(RuntimeIterator):
@@ -164,15 +170,15 @@ class PredicateIterator(RuntimeIterator):
         self.target = target
         self.pred = pred
 
-    def _compile(self) -> Evaluator:
-        target = self.target.evaluator()
-        pred = self.pred.evaluator()
-
-        def evaluate(ctx: DynamicContext):
-            return [item for pos, item in enumerate(target(ctx), 1)
-                    if _keep(pred(ctx.with_context_item(item)), pos)]
-
-        return evaluate
+    def _emit(self, b, env):
+        # ``$$`` is a local of the loop over the target's items.
+        out, pos, item = b.tmp(), b.tmp(), b.tmp()
+        b.line(f"{out} = []")
+        with b.block(f"for {pos}, {item} in enumerate({b.emit(self.target, env)}, 1)"):
+            keep = b.emit(self.pred, {**env, FOCUS: item})
+            with b.block(f"if {b.const(_keep)}({keep}, {pos})"):
+                b.line(f"{out}.append({item})")
+        return out
 
     def supports_rdd(self, ctx: DynamicContext) -> bool:
         return self.target.supports_rdd(ctx)
@@ -180,7 +186,7 @@ class PredicateIterator(RuntimeIterator):
     def get_rdd(self, ctx: DynamicContext):
         rdd = self.target.get_rdd(ctx)
         pred, outer = self.pred, ctx
-        if isinstance(pred, _BOOLEAN_ROOTS):
+        if _is_boolean(pred):
             return rdd.filter(lambda item: effective_boolean_value(
                 pred.materialize(outer.with_context_item(item))))
 

@@ -6,17 +6,8 @@ import math
 import operator
 
 from ...jsoniq.errors import DynamicError, TypeError_
-from ..dynamic_context import DynamicContext
-from ..items import (
-    Item,
-    effective_boolean_value,
-    is_atomic,
-    is_number,
-    kind,
-    to_integer,
-    value_compare,
-)
-from .base import Evaluator, RuntimeIterator
+from ..items import Item, is_atomic, is_number, kind, to_integer
+from .base import RuntimeIterator
 from .basic import LiteralIterator
 
 
@@ -56,50 +47,39 @@ class ArithmeticIterator(RuntimeIterator):
         super().__init__([left, right])
         self.op = op
 
-    def _compile(self) -> Evaluator:
+    def _emit(self, b, env):
+        if self.op not in _ARITHMETIC:
+            raise DynamicError(f"unknown arithmetic operator {self.op!r}")
+        left, right = self.children
+        a = b.value(b.emit(left, env))
+        return f"{b.const(self._apply)}({a}, {b.emit(right, env)})"
+
+    def _apply(self, a, b):
         op = self.op
-        if op not in _ARITHMETIC:
-            raise DynamicError(f"unknown arithmetic operator {op!r}")
-        apply = _ARITHMETIC[op]
-        (left, a_const), (right, b_const) = map(_operand, self.children)
-
-        def evaluate(ctx: DynamicContext):
-            a = a_const or left(ctx)
-            b = b_const or right(ctx)
-            if not a or not b:
-                return []
-            if len(a) > 1 or len(b) > 1:
-                raise TypeError_(f"arithmetic '{op}' requires singleton operands")
-            x, y = a[0], b[0]
-            if not is_number(x) or not is_number(y):
-                raise TypeError_(f"arithmetic '{op}' on {kind(x)} and {kind(y)}")
-            return [apply(x, y)]
-
-        return evaluate
+        if not a or not b:
+            return []
+        if len(a) > 1 or len(b) > 1:
+            raise TypeError_(f"arithmetic '{op}' requires singleton operands")
+        x, y = a[0], b[0]
+        if not is_number(x) or not is_number(y):
+            raise TypeError_(f"arithmetic '{op}' on {kind(x)} and {kind(y)}")
+        return [_ARITHMETIC[op](x, y)]
 
     def _tree_label(self) -> str:
         return self.op
 
 
-def _operand(it: RuntimeIterator):
-    """(evaluator, constant sequence or None): a literal operand is
-    folded into its parent's closure at build time."""
-    return it.evaluator(), ([it.value] if isinstance(it, LiteralIterator) else None)
+def _negate(seq):
+    if not seq:
+        return []
+    if len(seq) > 1 or not is_number(seq[0]):
+        raise TypeError_("unary minus requires a singleton number")
+    return [-seq[0]]
 
 
 class UnaryMinusIterator(RuntimeIterator):
-    def _compile(self) -> Evaluator:
-        (child,) = (c.evaluator() for c in self.children)
-
-        def evaluate(ctx: DynamicContext):
-            seq = child(ctx)
-            if not seq:
-                return []
-            if len(seq) > 1 or not is_number(seq[0]):
-                raise TypeError_("unary minus requires a singleton number")
-            return [-seq[0]]
-
-        return evaluate
+    def _emit(self, b, env):
+        return f"{b.const(_negate)}({b.emit(self.children[0], env)})"
 
 
 class ComparisonIterator(RuntimeIterator):
@@ -109,10 +89,10 @@ class ComparisonIterator(RuntimeIterator):
         super().__init__([left, right])
         self.op = op
 
-    def _compile(self) -> Evaluator:
-        op = self.op
-        (left, a_const), (right, b_const) = map(_operand, self.children)
-        return lambda ctx: value_compare(op, a_const or left(ctx), b_const or right(ctx))
+    def _emit(self, b, env):
+        left, right = self.children
+        a = b.value(b.emit(left, env))
+        return f"value_compare({b.const(self.op)}, {a}, {b.emit(right, env)})"
 
     def _tree_label(self) -> str:
         return self.op
@@ -125,30 +105,32 @@ class BoolOpIterator(RuntimeIterator):
         super().__init__([left, right])
         self.op = op
 
-    def _compile(self) -> Evaluator:
-        left, right = (c.evaluator() for c in self.children)
-        if self.op == "and":
-            return lambda ctx: [effective_boolean_value(left(ctx))
-                                and effective_boolean_value(right(ctx))]
-        return lambda ctx: [effective_boolean_value(left(ctx))
-                            or effective_boolean_value(right(ctx))]
+    def _emit(self, b, env):
+        # The right operand runs only when the left one does not decide.
+        left, right = self.children
+        out = b.tmp()
+        b.line(f"{out} = ebv({b.emit(left, env)})")
+        with b.block(f"if {out}" if self.op == "and" else f"if not {out}"):
+            b.line(f"{out} = ebv({b.emit(right, env)})")
+        return f"[{out}]"
 
     def _tree_label(self) -> str:
         return self.op
 
 
 class NotIterator(RuntimeIterator):
-    def _compile(self) -> Evaluator:
-        (child,) = (c.evaluator() for c in self.children)
-        return lambda ctx: [not effective_boolean_value(child(ctx))]
+    def _emit(self, b, env):
+        return f"[not ebv({b.emit(self.children[0], env)})]"
 
 
 class StringConcatIterator(RuntimeIterator):
     """``e1 || e2`` — atomize both sides; empty becomes ''."""
 
-    def _compile(self) -> Evaluator:
-        left, right = (c.evaluator() for c in self.children)
-        return lambda ctx: [to_concat_str(left(ctx)) + to_concat_str(right(ctx))]
+    def _emit(self, b, env):
+        left, right = self.children
+        to_str = b.const(to_concat_str)
+        a = b.value(f"{to_str}({b.emit(left, env)})")
+        return f"[{a} + {to_str}({b.emit(right, env)})]"
 
 
 def to_concat_str(seq) -> str:
@@ -175,6 +157,19 @@ def atomic_to_string(item: Item) -> str:
     raise TypeError_(f"cannot convert a {kind(item)} to string")
 
 
+def _object_key(seq) -> str:
+    if len(seq) != 1 or not is_atomic(seq[0]):
+        raise TypeError_("object key must be a single atomic")
+    return atomic_to_string(seq[0])
+
+
+def _object_value_error(key: str, seq) -> None:
+    raise TypeError_(
+        f"object value for key {key!r} is a sequence of {len(seq)} "
+        "items; wrap it in an array constructor [...]"
+    )
+
+
 class ObjectConstructorIterator(RuntimeIterator):
     """``{"k": v, ...}`` — keys must be singleton atomics, converted to
     strings; an empty value sequence becomes null, a multi-item value is
@@ -185,39 +180,26 @@ class ObjectConstructorIterator(RuntimeIterator):
         self.key_iters = key_iters
         self.value_iters = value_iters
 
-    def _compile(self) -> Evaluator:
-        # A literal key is atomic: its string is folded at build time.
-        pairs = [
-            (atomic_to_string(k.value) if isinstance(k, LiteralIterator) else k.evaluator(),
-             v.evaluator())
-            for k, v in zip(self.key_iters, self.value_iters)
-        ]
-
-        def evaluate(ctx: DynamicContext):
-            obj: dict[str, Item] = {}
-            for key, value in pairs:
-                if not isinstance(key, str):
-                    k_seq = key(ctx)
-                    if len(k_seq) != 1 or not is_atomic(k_seq[0]):
-                        raise TypeError_("object key must be a single atomic")
-                    key = atomic_to_string(k_seq[0])
-                v_seq = value(ctx)
-                if len(v_seq) > 1:
-                    raise TypeError_(
-                        f"object value for key {key!r} is a sequence of {len(v_seq)} "
-                        "items; wrap it in an array constructor [...]"
-                    )
-                obj[key] = v_seq[0] if v_seq else None
-            return [obj]
-
-        return evaluate
+    def _emit(self, b, env):
+        obj = b.tmp()
+        b.line(f"{obj} = {{}}")
+        for k, v in zip(self.key_iters, self.value_iters):
+            # A literal key is atomic: its string is folded at build time.
+            if isinstance(k, LiteralIterator):
+                key = b.const(atomic_to_string(k.value))
+            else:
+                key = b.value(f"{b.const(_object_key)}({b.emit(k, env)})")
+            seq = b.value(b.emit(v, env))
+            with b.block(f"if len({seq}) > 1"):
+                b.line(f"{b.const(_object_value_error)}({key}, {seq})")
+            b.line(f"{obj}[{key}] = {seq}[0] if {seq} else None")
+        return f"[{obj}]"
 
 
 class ArrayConstructorIterator(RuntimeIterator):
     """``[ e ]`` — the child sequence, copied into one array item."""
 
-    def _compile(self) -> Evaluator:
+    def _emit(self, b, env):
         if not self.children:
-            return lambda ctx: [[]]
-        (child,) = (c.evaluator() for c in self.children)
-        return lambda ctx: [list(child(ctx))]
+            return "[[]]"
+        return f"[list({b.emit(self.children[0], env)})]"

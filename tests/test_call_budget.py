@@ -4,10 +4,9 @@ The Python calls made while a row-local runner evaluates fixed tuples do
 not depend on the machine, so they pin the interpretation overhead that
 dominates a query's time:
 
-* the return pass (``FLWORIterator._run_tail``) of the
+* the return pass (``FLWORIterator._return_pass``) of the
   ``reddit-project`` benchmark query, fed the way Spark feeds it
-  without a prefix frame: the initial ``for``'s items, each bound into
-  one tuple context (``ForClauseIterator.bind_each``);
+  without a prefix frame: the initial ``for``'s items;
 * the segment pass (``frame.segment_rows``, the per-row work of
   ``frame.local_pass``) of the ``readme-small`` query: its ``where``
   plus its group key, over encoded rows;
@@ -25,15 +24,16 @@ from repro.core.flwor.frame import segment_rows
 from repro.core.items import dumps_seq, encode_key
 
 ROWS = 200
-#: Calls measured when the budget was set (2,115, 10.6 per row), plus 10%.
-#: ``number($c.score)`` is two calls: the call's closure and ``_fn_number``.
-CALL_BUDGET = 2_327
-#: Calls measured when the budget was set (2,908, 14.5 per row), plus 10%.
+#: Calls measured when the budget was set (453, 2.3 per row), plus 10%.
+#: The pass is one generated function: a lookup or a let makes no call,
+#: ``number()`` and the comparison one each.
+CALL_BUDGET = 498
+#: Calls measured when the budget was set (1,679, 8.4 per row), plus 10%.
 #: Unchanged cells pass through the segment without a decode-encode trip,
 #: and a cell decodes through orjson without stdlib ``json``'s Python frames.
-SEGMENT_CALL_BUDGET = 3_199
-#: Calls measured when the budget was set (3,873, 19.4 per row), plus 10%.
-LOCAL_CALL_BUDGET = 4_260
+SEGMENT_CALL_BUDGET = 1_846
+#: Calls measured when the budget was set (1,808, 9.0 per row), plus 10%.
+LOCAL_CALL_BUDGET = 1_988
 
 QUERY = (
     'for $c in json-file("unused.json") '
@@ -71,17 +71,16 @@ def test_tail_call_budget():
     objs = synth_data.reddit_pandas(ROWS, seed=5)["obj"].tolist()
     eng = Rumble(None, RumbleConfig(force_local=True))
     flwor = eng.compile(QUERY)
-    run = flwor._run_tail(flwor.clauses[1:])
-    first, outer = flwor.clauses[0], DynamicContext(config=eng.config)
+    run, outer = flwor._return_pass("items"), DynamicContext(config=eng.config)
     expected = [
         {"author": o["author"], "sub": o["subreddit"], "score": float(o["score"]),
          "edited": o["edited"]}
         for o in objs if o["year"] >= 2014
     ]
-    assert list(run(first.bind_each(outer, objs))) == expected  # also builds the evaluators
+    assert list(run(outer, objs)) == expected  # also builds the evaluators
 
     out = []
-    calls = count_calls(lambda: out.extend(run(first.bind_each(outer, objs))))
+    calls = count_calls(lambda: out.extend(run(outer, objs)))
     assert out == expected
     assert calls <= CALL_BUDGET, f"{calls / ROWS:.1f} Python calls per row"
 
@@ -93,18 +92,18 @@ def test_segment_call_budget():
     _, where, group = flwor.clauses[:3]
     # The pass before the group by, as its apply_df builds it: the
     # where, the := key as a let, the key's encoding.
-    run = segment_rows([where, *group.row_clauses()], DynamicContext(config=eng.config),
-                       ["i"], ["i", "t"], group.key_specs())
+    run = segment_rows([where, *group.row_clauses()], ["i"], ["i", "t"], group.key_specs())
+    ctx = DynamicContext(config=eng.config)
     rows = [(dumps_seq([o]),) for o in objs]
     expected = [
         [dumps_seq([o]), dumps_seq([o["target"]]),
          (*encode_key([o["target"]]), dumps_seq([o["target"]]))]
         for o in objs if o["guess"] == o["target"]
     ]
-    assert run(rows) == expected  # also builds the evaluators
+    assert list(run(ctx, rows)) == expected  # also builds the evaluators
 
     out = []
-    calls = count_calls(lambda: out.extend(run(rows)))
+    calls = count_calls(lambda: out.extend(run(ctx, rows)))
     assert out == expected
     assert calls <= SEGMENT_CALL_BUDGET, f"{calls / ROWS:.1f} Python calls per row"
 

@@ -193,6 +193,8 @@ class TestFunctionErrors:
             '1 to number("INF")',
             'number("x") to 3',
             'round(1.5, number("x"))',
+            '[1, 2][[number("x")]]',
+            '[1, 2][[number("INF")]]',
         ],
     )
     def test_dynamic_type_errors(self, local_engine, query):

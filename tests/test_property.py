@@ -110,6 +110,24 @@ class TestSerializationProperties:
         assert same(got, ref) if ok else got == ref
 
 
+    @pytest.mark.parametrize("depth", [900, 1000, 5000])
+    @pytest.mark.parametrize("brackets", ["[]", "{}"])
+    def test_loads_deep_nesting(self, depth, brackets):
+        """Nesting deeper than stdlib allows fails as it fails there."""
+        if brackets == "[]":
+            text = "[" * depth + "]" * depth
+        else:
+            text = '{"a":' * depth + "1" + "}" * depth
+
+        def outcome(loads):
+            try:
+                return "ok", loads(text)
+            except RecursionError:
+                return "RecursionError", None
+
+        assert outcome(I.loads) == outcome(json.loads)
+
+
 class TestKeyEncodingProperties:
     sortable = st.one_of(st.none(), st.booleans(),
                          st.integers(min_value=-10**9, max_value=10**9),

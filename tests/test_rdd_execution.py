@@ -115,6 +115,30 @@ class TestExpressionPushdown:
         assert sc.statusTracker().getJobIdsForGroup(group) == []
         assert sorted(rdd.collect()) == [3, 4]
 
+    @pytest.mark.parametrize("pred", [
+        "exists($$.a)", "empty($$.a)", "boolean($$.a)", "not($$.a)",
+        'contains($$.s, "b")', 'starts-with($$.s, "a")', 'ends-with($$.s, "c")', "true",
+    ])
+    def test_boolean_builtin_predicate_builds_without_a_job(self, spark, rumble, tmp_path,
+                                                            pred):
+        """A builtin that never returns a number needs no position, so no
+        zipWithIndex job counts the items of each partition. (PySpark's
+        zipWithIndex is a mapPartitionsWithIndex: it leaves no mark in
+        the lineage, only the job.)"""
+        path = tmp_path / "p.json"
+        path.write_text('{"a": 1, "s": "abc"}\n{"s": "xyz"}\n{"a": 0}\n{"a": null, "s": "ab"}\n')
+        q = f'json-file("{path}", 2)[{pred}]'
+        sc, group = spark.sparkContext, "boolean-builtin-predicate"
+        sc.setJobGroup(group, group)
+        try:
+            rdd = rumble.run_rdd(q)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            sc.setLocalProperty("spark.job.description", None)
+        assert sc.statusTracker().getJobIdsForGroup(group) == []
+        assert rdd.getNumPartitions() == 2
+        assert rdd.collect() == Rumble(None, RumbleConfig(force_local=True)).run(q)
+
     def test_distinct_values_stays_distributed(self, rumble):
         q = "distinct-values(parallelize((1, 2, 2, 3, 3, 3)))"
         it = rumble.compile(q)
