@@ -28,7 +28,9 @@ A node that needs a :class:`~repro.core.dynamic_context.DynamicContext`
 (a sequence source, a node with a source below, a lazy builtin, a
 quantifier) gets one built from the variables bound at that point
 (:meth:`Emitter.context`); everything else reads and writes Python
-locals, so the common path builds no context per row.
+locals, so the common path builds no context per row. So does a node
+that would nest its code deeper than :data:`MAX_DEPTH`: it runs as a
+function of its own.
 """
 from __future__ import annotations
 
@@ -60,6 +62,12 @@ def allowing_empty(items):
         yield 0, []
 
 
+#: The indentation a function's code may reach before the next node, or
+#: the next clause of a pipeline, moves into a function of its own.
+#: Python compiles at most 20 nested loops in one function, and a node
+#: opens at most three blocks around its own lines.
+MAX_DEPTH = 16
+
 #: Helpers generated code reads as globals; anything else it reaches
 #: through the constant table.
 _GLOBALS = {
@@ -78,6 +86,9 @@ class Emitter:
         self.consts: list = []
         self.depth = 1
         self._names = 0
+        #: variable -> the expression of the serialized cell this
+        #: function decoded its sequence from, where it did.
+        self.cells: dict[str, str] = {}
 
     def tmp(self, prefix: str = "t") -> str:
         self._names += 1
@@ -119,8 +130,8 @@ class Emitter:
         it needs. ``env`` maps each variable bound in this function to
         its local (:data:`FOCUS` to the context item's). A node that
         may be RDD-backed is called through its own evaluator, which
-        keeps the §5.5 switch."""
-        if node.is_source or node._has_source():
+        keeps the §5.5 switch, and so is one past :data:`MAX_DEPTH`."""
+        if node.is_source or node._has_source() or self.depth > MAX_DEPTH:
             return f"{self.const(node)}.materialize({self.context(env)})"
         return node._emit(self, env)
 
@@ -181,7 +192,6 @@ class Built:
     state, so that each process builds its own: an expression's
     evaluator, and any other function keyed by what it was built from."""
 
-    _eval: Callable | None = None
     _built: dict | None = None
 
     def built(self, key, build: Callable[[], Callable]) -> Callable:
@@ -193,4 +203,4 @@ class Built:
         return fn
 
     def __getstate__(self) -> dict:
-        return {k: v for k, v in self.__dict__.items() if k not in ("_eval", "_built")}
+        return {k: v for k, v in self.__dict__.items() if k != "_built"}

@@ -25,7 +25,7 @@ from typing import Callable, Iterable, Iterator
 from pyspark.sql import Observation, functions as F
 from pyspark.sql.types import StringType, StructField, StructType
 
-from ..codegen import Emitter, Built
+from ..codegen import MAX_DEPTH, Built, Emitter
 from ..dynamic_context import DynamicContext
 from ..items import TYPE_NUMBER, check_orderable_types, dumps_seq
 from ..iterators.base import RuntimeIterator, active_spark
@@ -215,9 +215,9 @@ def row_function(head: Callable[[Emitter], dict[str, str]], clauses: list[Clause
     b = Emitter()
     env = head(b)
     for i, clause in enumerate(clauses):
-        if b.depth > _NESTED_LOOPS:
-            # Python compiles at most 20 nested loops: the rest of the
-            # pipeline is a function of its own, over this one tuple.
+        if b.depth > MAX_DEPTH:
+            # The rest of the pipeline is a function of its own, over
+            # this one tuple.
             rest = row_function(named_rows(tuple(env)), clauses[i:], sink)
             tup = ", ".join(f"{b.const(v)}: {local}" for v, local in env.items())
             b.line(f"yield from {b.const(rest)}(ctx, ({{{tup}}},))")
@@ -227,11 +227,6 @@ def row_function(head: Callable[[Emitter], dict[str, str]], clauses: list[Clause
     return b.function("ctx, rows")
 
 
-#: The nesting a pipeline's clauses may reach in one function, leaving
-#: room for the loops of the expressions inside.
-_NESTED_LOOPS = 10
-
-
 def named_rows(names: tuple[str, ...], cells: bool = False):
     """A head over rows of ``names``: dict tuples, or with ``cells`` rows
     of their serialized cells, each decoded once."""
@@ -239,8 +234,11 @@ def named_rows(names: tuple[str, ...], cells: bool = False):
         b.open("for row in rows")
         env = {name: b.tmp("v") for name in names}
         for i, (name, local) in enumerate(env.items()):
-            b.line(f"{local} = loads_seq(row[{i}])" if cells else
-                   f"{local} = row[{b.const(name)}]")
+            if cells:
+                b.cells[name] = f"row[{i}]"
+                b.line(f"{local} = loads_seq(row[{i}])")
+            else:
+                b.line(f"{local} = row[{b.const(name)}]")
         return env
 
     return head

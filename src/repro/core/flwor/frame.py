@@ -84,14 +84,14 @@ def segment_rows(clauses, names: list[str], out_vars: list[str], keys):
     structs they become."""
     from .clauses import named_rows, row_function
 
-    # A variable no clause binds keeps its incoming cell; only a bound
-    # one is encoded again.
+    # A variable no clause binds keeps its incoming cell, where this
+    # function decoded it; any other one is encoded again.
     bound = {v for clause in clauses for v in clause.binds()}
 
     def sink(b, env):
         # A NULL cell is the empty sequence.
-        cells = [f"dumps_seq({env[v]})" if v in bound else f"(row[{names.index(v)}] or EMPTY)"
-                 for v in out_vars]
+        cells = [f"({b.cells[v]} or EMPTY)" if v in b.cells and v not in bound
+                 else f"dumps_seq({env[v]})" for v in out_vars]
         for expr, empty_greatest, label in keys:
             seq = b.value(b.emit(expr, env))
             cells.append(b.value(

@@ -84,7 +84,7 @@ class RuntimeIterator(codegen.Built):
     def materialize(self, ctx: DynamicContext) -> Sequence:
         """This iterator's whole sequence under ``ctx``. The list may be
         a variable's bound sequence itself: callers do not mutate it."""
-        return (self._eval or self.evaluator())(ctx)
+        return self.evaluator()(ctx)
 
     def iter_items(self, ctx: DynamicContext) -> Iterator[Item]:
         """An iterator over this iterator's sequence: a source streams
@@ -97,9 +97,7 @@ class RuntimeIterator(codegen.Built):
     def evaluator(self) -> Evaluator:
         """The generated ``ctx -> list`` function of this iterator,
         built on first use and kept until the tree is pickled."""
-        if self._eval is None:
-            self._eval = codegen.evaluator(self)
-        return self._eval
+        return self.built("eval", lambda: codegen.evaluator(self))
 
     def _has_source(self) -> bool:
         """Whether a sequence source lies below this node."""

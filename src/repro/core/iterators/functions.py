@@ -29,14 +29,23 @@ from .operators import atomic_to_string, to_concat_str
 # registry: name -> (min_args, max_args, impl, lazy)
 # value impl(*sequences) -> list[Item]; lazy impl(args, ctx) -> list[Item]
 _REGISTRY: dict[str, tuple[int, int, Callable, bool]] = {}
+_BOOLEAN: set[str] = set()  # registered with boolean=True: never return a number
 
 
-def register(name: str, min_args: int, max_args: int, lazy: bool = False):
+def register(name: str, min_args: int, max_args: int, lazy: bool = False,
+             boolean: bool = False):
     def deco(fn):
         _REGISTRY[name] = (min_args, max_args, fn, lazy)
+        if boolean:
+            _BOOLEAN.add(name)
         return fn
 
     return deco
+
+
+def returns_boolean(name: str) -> bool:
+    """Whether the builtin ``name`` returns a boolean, never a number."""
+    return name in _BOOLEAN
 
 
 def validate_call(name: str, n_args: int) -> None:
@@ -191,12 +200,12 @@ def _first(child: RuntimeIterator, ctx: DynamicContext) -> list:
     return []
 
 
-@register("empty", 1, 1, lazy=True)
+@register("empty", 1, 1, lazy=True, boolean=True)
 def _fn_empty(args, ctx):
     return [not _first(args[0], ctx)]
 
 
-@register("exists", 1, 1, lazy=True)
+@register("exists", 1, 1, lazy=True, boolean=True)
 def _fn_exists(args, ctx):
     return [bool(_first(args[0], ctx))]
 
@@ -332,12 +341,12 @@ def _fn_number(seq):
         return [float("nan")]
 
 
-@register("boolean", 1, 1)
+@register("boolean", 1, 1, boolean=True)
 def _fn_boolean(seq):
     return [effective_boolean_value(seq)]
 
 
-@register("not", 1, 1)
+@register("not", 1, 1, boolean=True)
 def _fn_not(seq):
     return [not effective_boolean_value(seq)]
 
@@ -381,21 +390,21 @@ def _fn_substring(seq, start, length=None):
     return [s[lo:hi]]
 
 
-@register("contains", 2, 2)
+@register("contains", 2, 2, boolean=True)
 def _fn_contains(a, b):
     a = _single_string(a, "contains() haystack") or ""
     b = _single_string(b, "contains() needle") or ""
     return [b in a]
 
 
-@register("starts-with", 2, 2)
+@register("starts-with", 2, 2, boolean=True)
 def _fn_starts_with(a, b):
     a = _single_string(a, "starts-with() haystack") or ""
     b = _single_string(b, "starts-with() needle") or ""
     return [a.startswith(b)]
 
 
-@register("ends-with", 2, 2)
+@register("ends-with", 2, 2, boolean=True)
 def _fn_ends_with(a, b):
     a = _single_string(a, "ends-with() haystack") or ""
     b = _single_string(b, "ends-with() needle") or ""

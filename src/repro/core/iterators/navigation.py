@@ -14,7 +14,7 @@ from ..dynamic_context import DynamicContext
 from ..items import Item, effective_boolean_value, is_number, to_integer
 from .base import RuntimeIterator
 from .basic import LiteralIterator, QuantifiedIterator, literal_value
-from .functions import FunctionCallIterator
+from .functions import FunctionCallIterator, returns_boolean
 from .operators import BoolOpIterator, ComparisonIterator, NotIterator
 
 
@@ -141,17 +141,12 @@ def _keep(result, pos: int) -> bool:
     return effective_boolean_value(result)
 
 
-#: Builtins whose result is never a number.
-_BOOLEAN_FUNCTIONS = {"exists", "empty", "boolean", "not", "contains", "starts-with",
-                      "ends-with"}
-
-
 def _is_boolean(pred: RuntimeIterator) -> bool:
     """Whether ``pred``'s result is never a number, so never a position."""
     if isinstance(pred, LiteralIterator):
         return isinstance(pred.value, bool)
     if isinstance(pred, FunctionCallIterator):
-        return pred.name in _BOOLEAN_FUNCTIONS
+        return returns_boolean(pred.name)
     return isinstance(pred, (ComparisonIterator, BoolOpIterator, NotIterator,
                              QuantifiedIterator))
 

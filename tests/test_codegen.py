@@ -16,6 +16,15 @@ SRC = '({"a": 1, "b": "x"}, {"a": 2, "b": "y"}, {"a": 3})'
 TRICKY = {'q"uote': 'a"b', "t'''": "'''", "back\\slash": "c:\\d", "new\nline": "x\ny",
           "{}": "{}"}
 
+
+def _nested_predicates(depth: int) -> str:
+    """``$o.a`` under ``depth`` nested predicates, each opening a loop."""
+    expr = "$$ eq $o.a"
+    for _ in range(depth):
+        expr = f"($o.a)[boolean({expr})]"
+    return expr
+
+
 CASES = [
     # String literals and object keys that would break spliced source.
     ('for $o in SRC return {"q\\"uote": "a\\"b", "t\'\'\'": "\'\'\'", '
@@ -55,6 +64,16 @@ CASES = [
     # More nested loops than Python compiles in one function.
     ("for $o in SRC " + " ".join(f"for $x{i} in ($o.a + {i})" for i in range(24))
      + " where $x23 gt 24 return $x23", [25, 26]),
+    # ... and before a group by, in a chained segment pass whose
+    # unchanged cells ($o) are written again from their sequences.
+    ("for $o in SRC " + " ".join(f"for $x{i} in $o.a" for i in range(18))
+     + " group by $k := $o.a order by $k return [$k, count($x17), $o.b]",
+     [[1, 1, "x"], [2, 1, "y"], [3, 1]]),
+    # Predicates nested deeper than Python compiles in one function, on
+    # their own and inside a return at the chaining depth.
+    ("for $o in SRC return " + _nested_predicates(25), [1, 2, 3]),
+    ("for $o in SRC " + " ".join(f"for $x{i} in $o.a" for i in range(14))
+     + " return " + _nested_predicates(12), [1, 2, 3]),
     # A tail after a stream clause.
     ("for $o in SRC count $c let $d := $c * 10 where $d gt 10 "
      "for $m allowing empty in $o.b return [$d, $m]", [[20, "y"], [30]]),
@@ -121,7 +140,7 @@ def test_tree_pickles_without_its_functions(local_eng):
     ctx = DynamicContext(config=local_eng.config)
     assert it.materialize(ctx) == [{"v": 1}, {"v": 2}]
     copy = pickle.loads(pickle.dumps(it))
-    assert copy._eval is None and copy._built is None
+    assert copy._built is None
     assert copy.materialize(ctx) == [{"v": 1}, {"v": 2}]
 
 
