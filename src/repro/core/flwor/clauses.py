@@ -362,7 +362,8 @@ class GroupByClauseIterator(ClauseIterator):
 class OrderByClauseIterator(ClauseIterator):
     """``order by e (ascending|descending)? (empty greatest|least)?ⁿ``
     (§4.8): a first pass discovers types and raises on incompatible
-    ones, then the typed columns feed Spark SQL ORDER BY."""
+    ones, then the typed columns feed Spark SQL ORDER BY, or a sort
+    within the one partition the first pass left."""
 
     def __init__(self, specs: list[tuple[RuntimeIterator, bool, bool]]):
         # spec = (expr_iter, ascending, empty_greatest)
@@ -389,7 +390,10 @@ class OrderByClauseIterator(ClauseIterator):
         # First pass (§4.8): one job evaluates the keys, checkpoints the
         # keyed frame and observes the type codes under each key.
         # Incompatible types throw before sorting. The sort reads the
-        # checkpoint, so the segment pass does not run twice.
+        # checkpoint, so the segment pass does not run twice. A
+        # checkpoint of one partition (adaptive execution coalesces a
+        # small group-by output to one) is sorted in place: that is
+        # already a total order, with no sampling job and no shuffle.
         codes = Observation()
         df = checkpoint(tframe.df.observe(
             codes,
@@ -404,7 +408,8 @@ class OrderByClauseIterator(ClauseIterator):
             for f in KEY_FIELDS:
                 c = F.col(f"{kcol}.{f}")
                 order.append(c.asc() if asc else c.desc())
-        tframe.df = df.orderBy(*order).drop(*key_cols)
+        one = df._jdf.queryExecution().logical().rdd().getNumPartitions() <= 1
+        tframe.df = (df.sortWithinPartitions if one else df.orderBy)(*order).drop(*key_cols)
         return tframe
 
 

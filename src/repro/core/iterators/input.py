@@ -14,6 +14,13 @@ whose tuple stream is a DataFrame (§4.3) starts it from the same lines
 without a Python worker: :meth:`JsonFileIterator.cell_df` trims,
 skips blank lines and wraps each line into its cell in the JVM.
 
+Without an explicit partition count, the input gets as many partitions
+as Spark SQL's own file scan would cut it into (:func:`split_count`),
+never more than the cluster's default parallelism: a small file is one
+partition and runs as one task per stage. The byte and file counts come
+from one Hadoop listing on the driver, which also reports a path that
+matches no file before any job runs.
+
 When Spark is unavailable (executor side) or disabled
 (``config.force_local``), the file is streamed line-by-line in-process.
 
@@ -24,13 +31,14 @@ FLWOR behaviour in tests.
 """
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 from pyspark.sql import DataFrame, functions as F
 
 from ...jsoniq.errors import DynamicError, TypeError_
 from ..dynamic_context import DynamicContext
-from ..items import Item, is_number, loads
+from ..items import Item, is_number, loads, to_integer
 from .base import RuntimeIterator, active_spark, spark_enabled
 
 
@@ -45,6 +53,60 @@ def _parse_lines(lines) -> Iterator[Item]:
 #: exactly the lines :func:`_parse_lines` does.
 WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003"
               "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+
+
+def partition_count(it: RuntimeIterator | None, ctx: DynamicContext, what: str) -> int | None:
+    """The optional partition-count argument of ``json-file()`` and
+    ``parallelize()``, checked alike on every path: None when absent,
+    else the integer part of a single number, at least 1."""
+    if it is None:
+        return None
+    seq = it.materialize(ctx)
+    if len(seq) != 1 or not is_number(seq[0]):
+        raise TypeError_(f"{what} must be a single number")
+    n = to_integer(seq[0], what)
+    if n < 1:
+        raise DynamicError(f"{what} must be at least 1, got {seq[0]}")
+    return n
+
+
+def _missing(part: str) -> DynamicError:
+    return DynamicError(f"json-file(): no file matches {part!r}")
+
+
+def input_size(sc, path: str) -> tuple[int, int]:
+    """The bytes and files under the comma-separated ``path``, listed
+    through Hadoop on the driver: one ``globStatus`` per part and one
+    ``getContentSummary`` per match. A part that matches no file raises
+    a DynamicError naming it."""
+    fs_path = sc._jvm.org.apache.hadoop.fs.Path
+    conf = sc._jsc.hadoopConfiguration()
+    size = files = 0
+    for part in path.split(","):
+        if not part:
+            raise _missing(part)
+        p = fs_path(part)
+        fs = p.getFileSystem(conf)
+        matches = fs.globStatus(p)
+        if not matches:
+            raise _missing(part)
+        for status in matches:
+            summary = fs.getContentSummary(status.getPath())
+            size += summary.getLength()
+            files += summary.getFileCount()
+    return size, files
+
+
+def split_count(size: int, files: int, parallelism: int,
+                max_partition_bytes: int, open_cost: int) -> int:
+    """How many splits Spark SQL's file scan cuts ``size`` bytes in
+    ``files`` files into (``FilePartition.maxSplitBytes``): a split holds
+    ``bytes per core`` (each file counted ``open_cost`` bytes more),
+    bounded below by ``open_cost`` and above by ``max_partition_bytes``.
+    The count is between 1 and ``parallelism``."""
+    per_core = (size + files * open_cost) // parallelism
+    split = min(max_partition_bytes, max(open_cost, per_core))
+    return max(1, min(parallelism, math.ceil(size / split)))
 
 
 class JsonFileIterator(RuntimeIterator):
@@ -65,12 +127,7 @@ class JsonFileIterator(RuntimeIterator):
         return seq[0]
 
     def _partitions(self, ctx: DynamicContext) -> int | None:
-        if self.partitions_iter is None:
-            return None
-        seq = self.partitions_iter.materialize(ctx)
-        if len(seq) != 1 or not is_number(seq[0]):
-            raise TypeError_("json-file() partitions must be a single number")
-        return int(seq[0])
+        return partition_count(self.partitions_iter, ctx, "json-file() partitions")
 
     def supports_rdd(self, ctx: DynamicContext) -> bool:
         return spark_enabled(ctx)
@@ -82,16 +139,20 @@ class JsonFileIterator(RuntimeIterator):
         path = self._path(ctx)
         n = self._partitions(ctx)
         sc = spark.sparkContext
+        size, files = input_size(sc, path)  # raises for a missing input, n or not
         if n:
             # textFile treats minPartitions as a floor; coalesce enforces
             # the exact parallelism the T4 speedup sweep asks for.
             return sc.textFile(path, minPartitions=n).coalesce(n)
-        # Unlike a pure JVM scan, the engine's per-item work runs in
-        # Python workers, so the default Hadoop split (32 MB) would
-        # leave most cores idle on laptop-sized files. Default the
-        # partition floor to the cluster parallelism — the same knob
-        # Rumble exposes as json-file()'s second argument (§5.7).
-        return sc.textFile(path, minPartitions=sc.defaultParallelism)
+        # The default Hadoop split (32 MB) would leave most cores idle on
+        # laptop-sized files, and one partition per core makes every
+        # stage of a small input pay one Python task per core. Ask for
+        # the splits Spark SQL's file scan would make; textFile still
+        # cuts at least one split per file.
+        conf = spark._jsparkSession.sessionState().conf()
+        return sc.textFile(path, minPartitions=split_count(
+            size, files, sc.defaultParallelism,
+            conf.filesMaxPartitionBytes(), conf.filesOpenCostInBytes()))
 
     def get_rdd(self, ctx: DynamicContext):
         return self._text_rdd(ctx).mapPartitions(_parse_lines)
@@ -116,8 +177,14 @@ class JsonFileIterator(RuntimeIterator):
                 line))).otherwise(cell).alias(col))
 
     def _iterate_local(self, ctx: DynamicContext) -> Iterator[Item]:
-        for path in self._path(ctx).split(","):
-            with open(path, "r", encoding="utf-8") as f:
+        path = self._path(ctx)
+        self._partitions(ctx)  # checked as on Spark; one stream has no partitions
+        for part in path.split(","):
+            try:
+                f = open(part, "r", encoding="utf-8")
+            except FileNotFoundError:
+                raise _missing(part) from None
+            with f:
                 yield from _parse_lines(f)
 
 
@@ -140,12 +207,13 @@ class ParallelizeIterator(RuntimeIterator):
         if spark is None:
             raise DynamicError("parallelize(): no active SparkSession on this side")
         items = self.expr.materialize(ctx)
-        if self.slices_iter is not None:
-            seq = self.slices_iter.materialize(ctx)
-            if len(seq) != 1 or not is_number(seq[0]):
-                raise TypeError_("parallelize() num_slices must be a single number")
-            return spark.sparkContext.parallelize(items, int(seq[0]))
-        return spark.sparkContext.parallelize(items, max(1, min(len(items), 8)))
+        n = self._slices(ctx) or max(1, min(len(items), 8))
+        return spark.sparkContext.parallelize(items, n)
+
+    def _slices(self, ctx: DynamicContext) -> int | None:
+        return partition_count(self.slices_iter, ctx, "parallelize() num_slices")
 
     def _iterate_local(self, ctx: DynamicContext) -> Iterator[Item]:
-        yield from self.expr.materialize(ctx)
+        items = self.expr.materialize(ctx)
+        self._slices(ctx)  # checked as on Spark
+        yield from items

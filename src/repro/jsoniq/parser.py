@@ -1,4 +1,5 @@
-"""Recursive-descent JSONiq parser (paper §5.2–§5.3).
+"""Recursive-descent JSONiq parser (paper §5.2–§5.3); OrExpr down to
+MultiplicativeExpr parse by precedence climbing.
 
 Produces the :mod:`repro.jsoniq.ast` tree. Grammar subset (operator
 precedence follows the JSONiq specification, loosest first)::
@@ -27,6 +28,33 @@ from .lexer import Token, tokenize
 _VALUE_COMP = {"eq", "ne", "lt", "le", "gt", "ge"}
 _GENERAL_COMP = {"=": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge"}
 _CLAUSE_STARTERS = {"for", "let", "where", "group", "order", "count", "return"}
+
+#: Binary operators (a keyword's value, else the token kind) by
+#: precedence, loosest first. A bare ``not`` sits at ``_NOT``: its
+#: operand is a ComparisonExpr. Comparisons and ranges do not chain.
+_BINARY = {
+    "or": 1, "and": 2,
+    **dict.fromkeys([*_VALUE_COMP, *_GENERAL_COMP], 4),
+    "||": 5, "to": 6, "+": 7, "-": 7, "*": 8, "div": 8, "idiv": 8, "mod": 8,
+}
+_NOT = 3
+_NON_ASSOC = {4, 6}
+
+
+def _precedence(t: Token) -> int | None:
+    return _BINARY.get(t.value if t.kind == "KEYWORD" else t.kind)
+
+
+def _binary_node(op: str, prec: int, left: ast.Expr, right: ast.Expr) -> ast.Expr:
+    if prec <= 2:
+        return ast.BoolOp(op, left, right)
+    if prec == 4:
+        return ast.Comparison(_GENERAL_COMP.get(op, op), left, right)
+    if op == "||":
+        return ast.StringConcat(left, right)
+    if op == "to":
+        return ast.RangeExpr(left, right)
+    return ast.Arithmetic(op, left, right)
 
 
 class _Parser:
@@ -90,7 +118,7 @@ class _Parser:
             return self.parse_if()
         if self.at_kw("some", "every") and self.peek(1).kind == "VAR":
             return self.parse_quantified()
-        return self.parse_or()
+        return self.parse_binary()
 
     # -- FLWOR ---------------------------------------------------------------
     def parse_flwor(self) -> ast.FLWORExpr:
@@ -232,75 +260,36 @@ class _Parser:
         return ast.QuantifiedExpr(kind, bindings, self.parse_expr_single())
 
     # -- operators -------------------------------------------------------------
-    def parse_or(self) -> ast.Expr:
-        left = self.parse_and()
-        while self.at_kw("or"):
+    def parse_binary(self, min_prec: int = 1) -> ast.Expr:
+        """OrExpr down to MultiplicativeExpr by precedence climbing: an
+        operand costs one call however many grammar levels it skips, so
+        deep nesting stays within Python's stack."""
+        if min_prec <= _NOT and self.at_kw("not") and self.peek(1).kind != "(":
+            # `not` is a function in JSONiq (fn:not); `not(expr)` parses
+            # via the function-call path. A bare keyword prefix is also
+            # accepted.
             self.next()
-            left = ast.BoolOp("or", left, self.parse_and())
-        return left
-
-    def parse_and(self) -> ast.Expr:
-        left = self.parse_not()
-        while self.at_kw("and"):
-            self.next()
-            left = ast.BoolOp("and", left, self.parse_not())
-        return left
-
-    def parse_not(self) -> ast.Expr:
-        # `not` is a function in JSONiq (fn:not); `not(expr)` parses via
-        # the function-call path. A bare keyword prefix is also accepted.
-        if self.at_kw("not") and self.peek(1).kind != "(":
-            self.next()
-            return ast.NotOp(self.parse_not())
-        return self.parse_comparison()
-
-    def parse_comparison(self) -> ast.Expr:
-        left = self.parse_concat()
-        t = self.peek()
-        if t.kind == "KEYWORD" and t.value in _VALUE_COMP:
-            self.next()
-            return ast.Comparison(t.value, left, self.parse_concat())
-        if t.kind in _GENERAL_COMP:
-            self.next()
-            return ast.Comparison(_GENERAL_COMP[t.kind], left, self.parse_concat())
-        return left
-
-    def parse_concat(self) -> ast.Expr:
-        left = self.parse_range()
-        while self.at("||"):
-            self.next()
-            left = ast.StringConcat(left, self.parse_range())
-        return left
-
-    def parse_range(self) -> ast.Expr:
-        left = self.parse_additive()
-        if self.at_kw("to"):
-            self.next()
-            return ast.RangeExpr(left, self.parse_additive())
-        return left
-
-    def parse_additive(self) -> ast.Expr:
-        left = self.parse_multiplicative()
-        while self.at("+") or self.at("-"):
-            op = self.next().kind
-            left = ast.Arithmetic(op, left, self.parse_multiplicative())
-        return left
-
-    def parse_multiplicative(self) -> ast.Expr:
-        left = self.parse_unary()
-        while self.at("*") or self.at_kw("div", "idiv", "mod"):
+            left = ast.NotOp(self.parse_binary(_NOT))
+        else:
+            left = self.parse_unary()
+        while True:
+            prec = _precedence(self.peek())
+            if prec is None or prec < min_prec:
+                return left
             op = self.next().value
-            left = ast.Arithmetic(op, left, self.parse_unary())
-        return left
+            left = _binary_node(op, prec, left, self.parse_binary(prec + 1))
+            t = self.peek()
+            if prec in _NON_ASSOC and _precedence(t) == prec:
+                raise ParseError(f"{op!r} does not chain, found {t!r}", t.line, t.column)
 
     def parse_unary(self) -> ast.Expr:
-        if self.at("-"):
-            self.next()
-            return ast.UnaryMinus(self.parse_unary())
-        if self.at("+"):
-            self.next()
-            return self.parse_unary()
-        return self.parse_postfix()
+        minus = 0
+        while self.at("-") or self.at("+"):
+            minus += self.next().kind == "-"
+        e = self.parse_postfix()
+        for _ in range(minus):
+            e = ast.UnaryMinus(e)
+        return e
 
     # -- postfix / primary --------------------------------------------------
     def parse_postfix(self) -> ast.Expr:
@@ -429,6 +418,26 @@ class _Parser:
         return ast.ObjectConstructor(pairs)
 
 
+#: How deep brackets may nest. The descent takes 6-8 Python frames per
+#: level, so this parses within Python's default recursion limit
+#: (1000) whatever limit the caller's process sets.
+MAX_NESTING = 100
+
+
 def parse(query: str) -> ast.Expr:
-    """Parse JSONiq ``query`` text into an AST. Raises :class:`ParseError`."""
-    return _Parser(tokenize(query)).parse()
+    """Parse JSONiq ``query`` text into an AST. Raises :class:`ParseError`,
+    also for brackets nested deeper than :data:`MAX_NESTING` and for
+    anything else that nests deeper than Python's stack allows."""
+    tokens = tokenize(query)
+    depth = 0
+    for t in tokens:
+        depth += (t.kind in ("(", "[", "{")) - (t.kind in (")", "]", "}"))
+        if depth > MAX_NESTING:
+            raise ParseError(f"expression nested too deeply (over {MAX_NESTING} levels)",
+                             t.line, t.column)
+    parser = _Parser(tokens)
+    try:
+        return parser.parse()
+    except RecursionError:
+        t = parser.peek()
+        raise ParseError("expression nested too deeply", t.line, t.column) from None

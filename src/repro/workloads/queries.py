@@ -10,6 +10,10 @@ comparable without writing result files).
 from __future__ import annotations
 
 
+def _json_file(path: str, partitions: int | None) -> str:
+    return f'json-file("{path}", {partitions})' if partitions else f'json-file("{path}")'
+
+
 def jsoniq_filter(path: str) -> str:
     return (
         f'count(for $i in json-file("{path}") '
@@ -25,9 +29,9 @@ def jsoniq_group(path: str) -> str:
     )
 
 
-def jsoniq_sort(path: str) -> str:
+def jsoniq_sort(path: str, *, partitions: int | None = None) -> str:
     return (
-        f'for $i in json-file("{path}") '
+        f"for $i in {_json_file(path, partitions)} "
         f"where $i.guess eq $i.target "
         f"order by $i.target ascending, $i.country descending, $i.date descending "
         f'return {{"guess": $i.guess, "target": $i.target, '
@@ -42,11 +46,8 @@ def jsoniq_reddit_filter(path: str, *, partitions: int | None = None) -> str:
     by the parallel scan. ``score`` is heterogeneous (occasionally a
     string in the unclean dump), so it is coerced on the fly with
     ``number()`` — the Fig. 7 idiom, impossible in plain Spark SQL."""
-    src = (
-        f'json-file("{path}", {partitions})' if partitions else f'json-file("{path}")'
-    )
     return (
-        f"count(for $c in {src} "
+        f"count(for $c in {_json_file(path, partitions)} "
         f'where $c.distinguished eq "moderator" and number($c.score) ge 100 '
         f"return $c)"
     )

@@ -7,7 +7,7 @@ import json
 import pytest
 
 from repro.core import Rumble, RumbleConfig
-from repro.jsoniq.errors import NonAtomicKeyError, TypeError_
+from repro.jsoniq.errors import DynamicError, NonAtomicKeyError, ParseError, TypeError_
 
 # Each case is a query template with {src} as the for-source. The local
 # run uses the inline sequence; the Spark run wraps it in parallelize().
@@ -260,22 +260,60 @@ def test_json_file_decoder_edges(template, edge_path, spark, local_eng):
         ("for $o in {src} let $x := $o.g * 2 order by $o.v return $x", TypeError_),
         ("for $o in {src} let $x := ($o.g, $o.t) group by $k := $x return $k",
          NonAtomicKeyError),
+        # the partition count of a source, checked on the driver
+        ('json-file("{path}", -1)', DynamicError),
+        ('json-file("{path}", number("x"))', DynamicError),
+        ('json-file("{path}", "2")', TypeError_),
+        ("parallelize((1, 2, 3), 0)", DynamicError),
+        ("parallelize((1, 2, 3), -2)", DynamicError),
+        ("parallelize((1, 2, 3), (1, 2))", TypeError_),
     ],
     ids=["order-nonatomic", "group-multi-item", "tail-after-group",
          "tail-after-order", "tail-only", "tail-object-value-of-two",
          "tail-arithmetic-on-string", "tail-lt-across-families",
          "segment-where-before-group", "segment-let-before-order",
-         "segment-let-two-items-as-key"],
+         "segment-let-two-items-as-key", "json-file-negative-partitions",
+         "json-file-nan-partitions", "json-file-string-partitions",
+         "parallelize-zero-slices", "parallelize-negative-slices",
+         "parallelize-two-slice-counts"],
 )
-def test_error_parity(template, error, spark, local_eng):
-    """Both paths raise the same error class for illegal keys and
-    operands. A Spark-side error reaches the caller wrapped, with the
-    class named in the worker's traceback."""
-    q_local = template.format(src=SRC)
-    q_spark = template.format(src=f"parallelize({SRC})")
+def test_error_parity(template, error, spark, local_eng, edge_path):
+    """Both paths raise the same error class for illegal keys, operands
+    and partition counts. A Spark-side error reaches the caller wrapped,
+    with the class named in the worker's traceback; one raised on the
+    driver reaches it as is."""
+    q_local = template.format(src=SRC, path=edge_path)
+    q_spark = template.format(src=f"parallelize({SRC})", path=edge_path)
     with pytest.raises(Exception) as e_local:
         local_eng.run(q_local)
     assert type(e_local.value) is error
     with pytest.raises(Exception) as e_spark:
         Rumble(spark).run(q_spark)
-    assert error.__name__ in str(e_spark.value)
+    assert type(e_spark.value) is error or error.__name__ in str(e_spark.value)
+
+
+def test_deep_nesting_parity(spark, local_eng):
+    """75 nested parentheses run; 200 raise a ParseError, not Python's
+    RecursionError, on both engines."""
+    for engine in (local_eng, Rumble(spark)):
+        assert engine.run("(" * 75 + "1" + ")" * 75) == [1]
+        with pytest.raises(ParseError):
+            engine.run("(" * 200 + "1" + ")" * 200)
+
+
+@pytest.mark.parametrize("template", [
+    'json-file("{missing}")',
+    'count(json-file("{present},{missing}"))',
+    'for $o in json-file("{missing}", 2) group by $k := $o.k return $k',
+    'json-file("{present},")',
+], ids=["source", "second-of-two", "before-group-by", "empty-part"])
+def test_missing_input_parity(template, tmp_path, edge_path, spark, local_eng):
+    """A json-file() path, or a comma-separated part of one, that
+    matches no file raises one DynamicError naming it on both engines."""
+    missing = str(tmp_path / "no-such-file*.json")
+    q = template.format(present=edge_path, missing=missing)
+    named = repr(missing) if "{missing}" in template else "''"
+    for engine in (local_eng, Rumble(spark)):
+        with pytest.raises(DynamicError) as e:
+            engine.run(q)
+        assert type(e.value) is DynamicError and named in str(e.value)

@@ -420,7 +420,7 @@ class TestReturnPassTail:
         p = tmp_path / "crlf.json"
         p.write_bytes(b'{"a": 1}\r\n  \r\n\t\r\n {"a": 2} \r\n\r\n\t{"a": 1}\t\r\n'
                       b'\xc2\xa0"x"\xe3\x80\x80\r\n')
-        q = f'for $x in json-file("{p}") {stream}'
+        q = f'for $x in json-file("{p}", 4) {stream}'
         expected = local_engine.run(q)
         assert len(expected) == (3 if "group" in stream else 4)
         if "group" in stream:
@@ -459,9 +459,10 @@ class TestReturnPassTail:
 
 
 class TestOrderByMaterialization:
-    """The order-by materializes its keyed frame once per query (§4.8);
-    the query releases it, and the sort runs at the partition count
-    adaptive execution picks."""
+    """The order-by materializes its keyed frame once per query (§4.8)
+    and the query releases it. The checkpoint keeps the partition count
+    adaptive execution picks; one partition is sorted in place, more
+    are range-sorted."""
 
     def test_queries_release_their_materializations(self, spark, rumble):
         from repro.jsoniq.errors import TypeError_
@@ -530,6 +531,10 @@ class TestOrderByMaterialization:
     def test_readme_query_runs_fewer_tasks_than_shuffle_partitions(
         self, spark, rumble, confusion_path
     ):
+        # A 361 KB input is one partition. Three jobs of one task each:
+        # the scan and partial group by, the checkpoint of the group-by
+        # output, and the return pass over its in-place sort. No range
+        # sort samples the checkpoint or shuffles it.
         sc = spark.sparkContext
         group = "order-by-task-count"
         q = (
@@ -549,11 +554,60 @@ class TestOrderByMaterialization:
         assert counts and counts == sorted(counts, reverse=True)
 
         st = sc.statusTracker()
+        jobs = st.getJobIdsForGroup(group)
         tasks = 0
-        for job in st.getJobIdsForGroup(group):
+        for job in jobs:
             info = st.getJobInfo(job)
             for sid in info.stageIds if info else ():
                 stage = st.getStageInfo(sid)
                 if stage:
                     tasks += stage.numCompletedTasks + stage.numFailedTasks
-        assert 0 < tasks < int(spark.conf.get("spark.sql.shuffle.partitions"))
+        assert (len(jobs), tasks) == (3, 3)
+
+    SORT_ROWS = [
+        {"i": i, "g": i % 7, "v": i % 5, **({"e": i % 4} if i % 7 < 4 and i % 3 else {})}
+        for i in range(40)
+    ]
+
+    @pytest.mark.parametrize("order", [
+        "$n descending, $k",
+        "$m, $n descending, $k descending",
+        "$e empty greatest, $k",
+        "$e descending empty least, $n, $k",
+    ])
+    def test_in_place_sort_of_group_by_output_matches_local(self, rumble, local_engine,
+                                                            tmp_path, order):
+        p = tmp_path / "s.json"
+        p.write_text("".join(json.dumps(o) + "\n" for o in self.SORT_ROWS))
+        # Four input partitions; adaptive execution coalesces the seven
+        # groups to one.
+        q = (f'for $o in json-file("{p}", 4) group by $k := $o.g '
+             "let $n := count($o[$$.v gt 1]), $m := sum($o.v), $e := max($o.e) "
+             f"order by {order} return [$k, $n, $m, $e]")
+        assert self.range_sorted(rumble, q) is False
+        assert rumble.run(q) == local_engine.run(q)
+
+    @pytest.mark.parametrize("order", [
+        "$o.v descending, $o.i",
+        "$o.e empty greatest, $o.v, $o.i descending",
+        "$o.e descending empty least, $o.g, $o.i",
+    ])
+    def test_range_sort_of_partitioned_input_matches_local(self, rumble, local_engine,
+                                                           tmp_path, order):
+        p = tmp_path / "s.json"
+        p.write_text("".join(json.dumps(o) + "\n" for o in self.SORT_ROWS))
+        q = f'for $o in json-file("{p}", 4) order by {order} return $o.i'
+        assert self.range_sorted(rumble, q) is True
+        assert rumble.run(q) == local_engine.run(q)
+
+    @staticmethod
+    def range_sorted(rumble, query) -> bool:
+        """Whether the order by of ``query`` range-partitions its
+        checkpoint, rather than sorting its one partition in place."""
+        from repro.core.query_scope import query_scope
+
+        with query_scope():
+            df = rumble.compile(query)._build_tframe(rumble._ctx()).df
+            plan = df._jdf.queryExecution().executedPlan().toString()
+        assert "Sort [" in plan
+        return "rangepartitioning" in plan

@@ -45,7 +45,9 @@ class TestConfusionQueriesVsDuckDB:
         assert_equivalent(df, Q.DUCKDB_SORT, confusion=confusion_no_choices)
 
     def test_sort_top10_order(self, rumble, confusion_path, confusion_pdf):
-        got = rumble.run(Q.jsoniq_sort(confusion_path), cap=10)
+        # Four input partitions: the order by range-sorts its checkpoint
+        # (the full result above sorts one partition in place).
+        got = rumble.run(Q.jsoniq_sort(confusion_path, partitions=4), cap=10)
         pdf = confusion_pdf[confusion_pdf.guess == confusion_pdf.target]
         expected = pdf.sort_values(
             ["target", "country", "date"], ascending=[True, False, False]
@@ -121,7 +123,7 @@ class TestTPCHLiteFLWOR:
     def test_lineitem_top_discounted(self, rumble, spark, lineitem_path):
         path, pdf = lineitem_path
         out = rumble.run(
-            f'for $l in json-file("{path}") '
+            f'for $l in json-file("{path}", 4) '
             f"where $l.l_discount ge 0.05 "
             f"order by $l.l_extendedprice descending, $l.l_orderkey, $l.l_linenumber "
             f'return {{"l_orderkey": $l.l_orderkey, "price": $l.l_extendedprice}}'

@@ -272,3 +272,17 @@ class TestParseErrors:
     def test_raises(self, bad):
         with pytest.raises(ParseError):
             parse(bad)
+
+    @pytest.mark.parametrize("bad", ["1 eq 2 eq 3", "1 to 2 to 3", "(1 = 2 != 3)"])
+    def test_comparison_and_range_do_not_chain(self, bad):
+        with pytest.raises(ParseError):
+            parse(bad)
+
+    def test_deep_nesting(self):
+        from repro.jsoniq.parser import MAX_NESTING
+
+        assert parse("(" * 75 + "1" + ")" * 75) == ast.Literal(1)
+        assert parse("[" * MAX_NESTING + "1" + "]" * MAX_NESTING)
+        for d in (MAX_NESTING + 1, 200):
+            with pytest.raises(ParseError, match="nested too deeply"):
+                parse("(" * d + "1" + ")" * d)

@@ -14,7 +14,7 @@ EMPTY_FLWOR = "for $o in parallelize((1, 2)) where $o gt 5 return $o"
 
 class TestInputFunctions:
     def test_json_file_reads_rdd(self, rumble, mess_path):
-        got = rumble.run(f'json-file("{mess_path}")')
+        got = rumble.run(f'json-file("{mess_path}", 4)')
         assert len(got) == 3
         assert got[0]["foo"] == "1"
 
@@ -25,6 +25,43 @@ class TestInputFunctions:
     def test_json_file_comma_paths_replicate(self, rumble, mess_path):
         got = rumble.run(f'count(json-file("{mess_path},{mess_path}"))')
         assert got == [6]
+
+    def test_split_count_follows_spark_file_scan(self):
+        from repro.core.iterators.input import split_count
+
+        mb = 1 << 20
+        scan = dict(parallelism=4, max_partition_bytes=128 * mb, open_cost=4 * mb)
+        assert split_count(361_230, 1, **scan) == 1  # below openCost
+        assert split_count(10 * mb, 1, **scan) == 3  # 4 MB splits
+        assert split_count(17 * mb, 1, **scan) == 4  # above openCost x parallelism
+        assert split_count(66 * mb, 1, **scan) == 4
+        assert split_count(1024 * mb, 1, **scan) == 4  # 8 splits of 128 MB
+        assert split_count(0, 0, **scan) == 1
+
+    def test_json_file_partitions_follow_input_size(self, spark, rumble, tmp_path):
+        sc = spark.sparkContext
+        cores = sc.defaultParallelism
+        small = tmp_path / "small.json"
+        small.write_text('{"v": 1}\n' * 50)
+        large = tmp_path / "large.json"
+        large.write_text('{"v": 12345}\n' * (64 * cores))
+
+        def parts(q: str) -> int:
+            return rumble.run_rdd(q).getNumPartitions()
+
+        assert parts(f'json-file("{small}")') == 1  # below openCost
+        assert parts(f'json-file("{large}", 3)') == 3
+        key = "spark.sql.files.openCostInBytes"
+        cost = spark.conf.get(key)
+        spark.conf.set(key, "8")
+        try:
+            # more bytes than openCost x parallelism: one split per core
+            assert parts(f'json-file("{large}")') == cores
+        finally:
+            spark.conf.set(key, cost)
+        for p in (small, large):
+            floor = sc.textFile(str(p), minPartitions=cores).getNumPartitions()
+            assert parts(f'json-file("{p}")') <= floor
 
     def test_parallelize(self, rumble):
         assert sorted(rumble.run("parallelize((1, 2, 3))")) == [1, 2, 3]
@@ -138,6 +175,24 @@ class TestExpressionPushdown:
         assert sc.statusTracker().getJobIdsForGroup(group) == []
         assert rdd.getNumPartitions() == 2
         assert rdd.collect() == Rumble(None, RumbleConfig(force_local=True)).run(q)
+
+    def test_positional_predicate_over_small_file_runs_one_job(self, spark, rumble, tmp_path):
+        """A small input is one partition, and PySpark's zipWithIndex
+        counts no partition sizes for one: the predicate that may give a
+        number runs in the collecting job alone."""
+        path = tmp_path / "f.json"
+        path.write_text('{"flag": true}\n{"flag": false}\n{"flag": 3}\n{}\n{"flag": 5}\n')
+        q = f'json-file("{path}")[$$.flag]'
+        sc, group = spark.sparkContext, "positional-predicate"
+        sc.setJobGroup(group, group)
+        try:
+            got = rumble.run(q)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            sc.setLocalProperty("spark.job.description", None)
+        assert len(sc.statusTracker().getJobIdsForGroup(group)) == 1
+        local = Rumble(None, RumbleConfig(force_local=True)).run(q)
+        assert got == local == [{"flag": True}, {"flag": 3}, {"flag": 5}]
 
     def test_distinct_values_stays_distributed(self, rumble):
         q = "distinct-values(parallelize((1, 2, 2, 3, 3, 3)))"
