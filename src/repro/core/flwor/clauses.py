@@ -257,10 +257,10 @@ def peek_names(tuples: Iterable[LocalTuple]) -> tuple[tuple[str, ...], Iterator[
 class GroupByClauseIterator(ClauseIterator):
     """``group by $k (:= e)?ⁿ`` (§4.7).
 
-    Keys are encoded into the three native columns of §4.7 (plus the
-    lossless serialized key used to restore the binding, replacing the
-    paper's ARRAY_DISTINCT). Non-grouping variables are aggregated per
-    ``aggregations[var]``:
+    Keys are encoded into the three native columns of §4.7; each group
+    restores a key from the first cell of the key's variable, as the
+    paper's ARRAY_DISTINCT over that column does. Non-grouping variables
+    are aggregated per ``aggregations[var]``:
 
     * ``"materialize"`` — concatenated into one sequence (default
       JSONiq semantics; collect_list + merge = the paper's SEQUENCE()),
@@ -322,14 +322,17 @@ class GroupByClauseIterator(ClauseIterator):
         # JVM: the JSON arrays' bodies, the empty ones dropped, joined by
         # commas (the paper's SEQUENCE() UDAF, §4.7). Each key and each
         # count also keeps its §4.7 encoding as a column for an
-        # `order by` that follows.
+        # `order by` that follows. A key is restored from its variable's
+        # own cell, as on the local path (the paper's ARRAY_DISTINCT over
+        # the key column). A key bound outside the FLWOR has no column:
+        # it is read from the outer context downstream.
         aggs, cells, keys = [], {}, {}
         for var, k in zip(key_vars, key_cols):
-            canon = tframe.fresh_col(var + "_canon")
-            aggs.append(F.first(F.col(f"{k}.canon")).alias(canon))
-            cells[var] = F.col(canon)
-            keys[var] = F.struct(*[F.col(f"{k}_{f}").alias(f) for f in KEY_FIELDS],
-                                 F.col(canon).alias("canon"))
+            if var in tframe.columns:
+                first = tframe.fresh_col(var + "_first")
+                aggs.append(F.first(F.col(tframe.columns[var])).alias(first))
+                cells[var] = F.col(first)
+            keys[var] = F.struct(*[F.col(f"{k}_{f}").alias(f) for f in KEY_FIELDS])
         for var, col in tframe.columns.items():
             if var in key_vars:
                 continue
@@ -342,8 +345,7 @@ class GroupByClauseIterator(ClauseIterator):
                 cells[var] = F.concat(F.lit("["), F.col(out).cast("string"), F.lit("]"))
                 keys[var] = F.struct(
                     F.lit(TYPE_NUMBER).alias("code"), F.lit("").alias("s"),
-                    F.col(out).cast("double").alias("d"), F.lit(0.0).alias("r"),
-                    cells[var].alias("canon"))
+                    F.col(out).cast("double").alias("d"), F.lit(0.0).alias("r"))
             else:
                 bodies = F.transform(F.collect_list(F.col(col)),
                                      lambda c: c.substr(F.lit(2), F.length(c) - 2))

@@ -44,19 +44,18 @@ from ..items import TYPE_EMPTY_GREATEST, TYPE_EMPTY_LEAST
 from ..iterators.basic import VarRefIterator
 
 #: Schema of one encoded grouping/ordering key (§4.7): the three native
-#: columns the paper prescribes, an integer residual (``items.encode_key``)
-#: and the serialized original sequence ("canon") that restores the key
-#: after GROUP BY — a lossless replacement for the paper's ARRAY_DISTINCT.
+#: columns the paper prescribes and an integer residual
+#: (``items.encode_key``). A group by restores each key from its
+#: variable's own cell.
 KEY_STRUCT = StructType(
     [
         StructField("code", IntegerType(), False),
         StructField("s", StringType(), False),
         StructField("d", DoubleType(), False),
         StructField("r", DoubleType(), False),
-        StructField("canon", StringType(), False),
     ]
 )
-KEY_FIELDS = ("code", "s", "d", "r")  # what a key groups and sorts by
+KEY_FIELDS = tuple(f.name for f in KEY_STRUCT.fields)  # what a key groups and sorts by
 
 
 @dataclass
@@ -93,10 +92,9 @@ def segment_rows(clauses, names: list[str], out_vars: list[str], keys):
         cells = [f"({b.cells[v]} or EMPTY)" if v in b.cells and v not in bound
                  else f"dumps_seq({env[v]})" for v in out_vars]
         for expr, empty_greatest, label in keys:
-            seq = b.value(b.emit(expr, env))
             cells.append(b.value(
-                f"(*encode_key({seq}, empty_greatest={b.const(empty_greatest)}, "
-                f"clause={b.const(label)}), dumps_seq({seq}))"))
+                f"encode_key({b.emit(expr, env)}, empty_greatest={b.const(empty_greatest)}, "
+                f"clause={b.const(label)})"))
         b.line(f"yield [{', '.join(cells)}]")
 
     return row_function(named_rows(names, cells=True), clauses, sink)

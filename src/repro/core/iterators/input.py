@@ -9,7 +9,9 @@ parser. Each line is parsed by ``items.loads``: orjson, with stdlib
 ``json`` where the two could differ. ``path`` may be a comma-separated
 list of paths, which is how the large-scale experiments replicate a
 dataset N× without writing N copies (Hadoop's text input accepts
-comma-joined paths). A FLWOR
+comma-joined paths). Each part may be a glob, with ``{a,b}``
+alternatives, or a directory; the local engine reads the same files
+Hadoop does (:func:`local_files`). A FLWOR
 whose tuple stream is a DataFrame (§4.3) starts it from the same lines
 without a Python worker: :meth:`JsonFileIterator.cell_df` trims,
 skips blank lines and wraps each line into its cell in the JVM.
@@ -31,7 +33,9 @@ FLWOR behaviour in tests.
 """
 from __future__ import annotations
 
+import glob
 import math
+import os
 from typing import Iterator
 
 from pyspark.sql import DataFrame, functions as F
@@ -74,6 +78,57 @@ def _missing(part: str) -> DynamicError:
     return DynamicError(f"json-file(): no file matches {part!r}")
 
 
+def split_outside_braces(text: str) -> list[str]:
+    """``text`` cut at each comma outside ``{}``: Hadoop's split of a
+    comma-separated input path (``FileInputFormat.getPathStrings``), and
+    of the alternatives inside one pair of braces."""
+    parts, start, depth = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch == "{":
+            depth += 1
+        elif ch == "}":
+            depth = max(depth - 1, 0)
+        elif ch == "," and depth == 0:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts
+
+
+def _expand_braces(pattern: str) -> list[str]:
+    """Every pattern ``{a,b}`` alternatives in ``pattern`` spell out."""
+    i = pattern.find("{")
+    depth = 0
+    for j in range(i, len(pattern)) if i >= 0 else ():
+        depth += (pattern[j] == "{") - (pattern[j] == "}")
+        if depth == 0:
+            return [x for alt in split_outside_braces(pattern[i + 1:j])
+                    for x in _expand_braces(pattern[:i] + alt + pattern[j + 1:])]
+    return [pattern]  # no braces, or an unclosed one
+
+
+def _hidden(path: str) -> bool:
+    """Hadoop's ``hiddenFileFilter``: names starting ``_`` or ``.``."""
+    return os.path.basename(path).startswith(("_", "."))
+
+
+def local_files(path: str) -> Iterator[str]:
+    """The files Hadoop's text input reads for ``path``, in name order
+    per part: each comma-separated part expanded (braces, then globs),
+    hidden names dropped, and a directory read as the files in it. A
+    part that matches nothing raises a DynamicError naming it."""
+    for part in split_outside_braces(path):
+        matches = sorted({m for p in _expand_braces(part) for m in glob.glob(p)
+                          if not _hidden(m)}) if part else []
+        if not matches:
+            raise _missing(part)
+        for m in matches:
+            if os.path.isdir(m):
+                yield from (os.path.join(m, n) for n in sorted(os.listdir(m)) if not _hidden(n))
+            else:
+                yield m
+
+
 def input_size(sc, path: str) -> tuple[int, int]:
     """The bytes and files under the comma-separated ``path``, listed
     through Hadoop on the driver: one ``globStatus`` per part and one
@@ -82,12 +137,12 @@ def input_size(sc, path: str) -> tuple[int, int]:
     fs_path = sc._jvm.org.apache.hadoop.fs.Path
     conf = sc._jsc.hadoopConfiguration()
     size = files = 0
-    for part in path.split(","):
+    for part in split_outside_braces(path):
         if not part:
             raise _missing(part)
         p = fs_path(part)
         fs = p.getFileSystem(conf)
-        matches = fs.globStatus(p)
+        matches = [m for m in fs.globStatus(p) or () if not _hidden(m.getPath().getName())]
         if not matches:
             raise _missing(part)
         for status in matches:
@@ -179,12 +234,8 @@ class JsonFileIterator(RuntimeIterator):
     def _iterate_local(self, ctx: DynamicContext) -> Iterator[Item]:
         path = self._path(ctx)
         self._partitions(ctx)  # checked as on Spark; one stream has no partitions
-        for part in path.split(","):
-            try:
-                f = open(part, "r", encoding="utf-8")
-            except FileNotFoundError:
-                raise _missing(part) from None
-            with f:
+        for name in local_files(path):
+            with open(name, "r", encoding="utf-8") as f:
                 yield from _parse_lines(f)
 
 

@@ -11,106 +11,36 @@ enabled by JSONiq being a functional language:
    not used in consuming expressions, in which case it does not create
    the column at all."
 
-``plan_groupby_aggregations`` performs the usage analysis over the
-clauses *after* a group-by plus the return expression, respecting
-shadowing by nested binders, and decides a mode per non-grouping
-variable: ``"materialize"`` (default), ``"count"`` or ``"drop"``.
-When a variable goes to count mode, it also reports every downstream
-``count($v)`` call site, which the translator translates as ``$v``
-(the aggregated column already holds the count); the AST is never
-modified. Count mode additionally requires the variable to be provably
-single-item per tuple (bound by a plain ``for`` or ``count`` clause),
-since Spark's COUNT counts tuples, not items.
+``plan_groupby_aggregations`` sorts the free references of the clauses
+*after* a group-by plus the return expression (one walk of
+``jsoniq.scoping.free_refs``, which respects shadowing by nested
+binders) into ``count($v)`` call sites and other reads, and decides a
+mode per non-grouping variable: ``"materialize"`` (default),
+``"count"`` or ``"drop"``. When a variable goes to count mode, it also
+reports every downstream ``count($v)`` call site, which the translator
+translates as ``$v`` (the aggregated column already holds the count);
+the AST is never modified. Count mode additionally requires the
+variable to be provably single-item per tuple (bound by a plain
+``for`` or ``count`` clause), since Spark's COUNT counts tuples, not
+items.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from ..jsoniq import ast
+from ..jsoniq.scoping import binds, free_refs
 
 
-@dataclass
-class _Usage:
-    counted: bool = False
-    other: bool = False
-
-
-def _scan(node: ast.Expr | ast.Clause, var: str, usage: _Usage,
-          count_calls: list[ast.FunctionCall]) -> None:
-    """Collect how ``var`` is used under ``node``; stop at shadowing
-    binders. ``count_calls`` accumulates the count($var) call sites."""
-    if isinstance(node, ast.VarRef):
-        if node.name == var:
-            usage.other = True
-        return
-    if isinstance(node, ast.FunctionCall):
-        if (
-            node.name == "count"
-            and len(node.args) == 1
-            and isinstance(node.args[0], ast.VarRef)
-            and node.args[0].name == var
-        ):
-            usage.counted = True
-            count_calls.append(node)
-            return
-        for a in node.args:
-            _scan(a, var, usage, count_calls)
-        return
-    if isinstance(node, ast.FLWORExpr):
-        for c in node.clauses:
-            for e in c.children():
-                _scan(e, var, usage, count_calls)
-            if _binds(c, var):
-                return
-        _scan(node.return_expr, var, usage, count_calls)
-        return
-    if isinstance(node, ast.QuantifiedExpr):
-        shadowed = False
-        for v, src in node.bindings:
-            if shadowed:
-                break
-            _scan(src, var, usage, count_calls)
-            if v == var:
-                shadowed = True
-        if not shadowed:
-            _scan(node.satisfies, var, usage, count_calls)
-        return
-    if isinstance(node, ast.Clause):
-        for e in node.children():
-            _scan(e, var, usage, count_calls)
-        return
-    for child in node.children():
-        _scan(child, var, usage, count_calls)
-
-
-def _binds(clause: ast.Clause, var: str) -> bool:
-    """Whether ``clause`` (re)binds ``var`` for the clauses after it."""
-    if isinstance(clause, ast.ForClause):
-        return var in (clause.var, clause.position_var)
-    if isinstance(clause, (ast.LetClause, ast.CountClause)):
-        return clause.var == var
-    if isinstance(clause, ast.GroupByClause):
-        return any(k.var == var and k.expr is not None for k in clause.keys)
-    return False
-
-
-def _regrouped(clauses: list[ast.Clause], return_expr: ast.Expr, var: str) -> bool:
-    """Whether a later group-by in ``clauses`` merges the groups of
-    ``var`` and what follows still reads it. A count-mode column holds
-    one count per tuple, which neither a merge nor a grouping by ``$var``
-    itself can use."""
-    for j, c in enumerate(clauses):
-        if isinstance(c, ast.GroupByClause):
-            if any(k.var == var and k.expr is None for k in c.keys):
-                return True
-            if _binds(c, var):
-                return False
-            after = _Usage()
-            _scan(ast.FLWORExpr(clauses[j + 1 :], return_expr), var, after, [])
-            return after.counted or after.other
-        if _binds(c, var):
-            return False
-    return False
+def _regrouped(rest: list[ast.Clause], return_expr: ast.Expr, free: set[int]) -> set[str]:
+    """The variables that the first group-by in ``rest`` merges while
+    what follows it still reads them. A count-mode column holds one
+    count per tuple, which a merge cannot use. ``free`` holds the ids of
+    the references free in all of ``rest``: a reference after that
+    group-by is one of them unless something before it rebinds it."""
+    j = next((j for j, c in enumerate(rest) if isinstance(c, ast.GroupByClause)), None)
+    if j is None:
+        return set()
+    tail = ast.FLWORExpr(rest[j + 1 :], return_expr)
+    return {ref.name for ref, _ in free_refs(tail) if id(ref) in free}
 
 
 def plan_groupby_aggregations(
@@ -127,39 +57,40 @@ def plan_groupby_aggregations(
     # each is provably single-item per tuple.
     in_scope: dict[str, bool] = {}
     for c in flwor.clauses[:gb_index]:
-        if isinstance(c, ast.ForClause):
-            in_scope[c.var] = not c.allowing_empty
-            if c.position_var:
-                in_scope[c.position_var] = True
-        elif isinstance(c, ast.LetClause):
-            in_scope[c.var] = False
-        elif isinstance(c, ast.GroupByClause):
+        if isinstance(c, ast.GroupByClause):
             # Non-grouping variables now hold whole groups, and a key
             # may be the empty sequence.
-            in_scope = dict.fromkeys([*in_scope, *(k.var for k in c.keys)], False)
-        elif isinstance(c, ast.CountClause):
-            in_scope[c.var] = True
+            in_scope = dict.fromkeys(in_scope, False)
+        for var in binds(c):
+            in_scope[var] = isinstance(c, ast.CountClause) or (
+                isinstance(c, ast.ForClause) and not (c.allowing_empty and var == c.var))
 
-    # The rest of the FLWOR, scanned like a nested one so that a later
-    # clause rebinding a variable hides the uses after it.
+    # One walk of the rest of the FLWOR, as if it were a nested one, so
+    # that a later clause rebinding a variable hides the uses after it.
+    # A plain `group by $v` there reads $v.
     rest = flwor.clauses[gb_index + 1 :]
-    downstream = ast.FLWORExpr(rest, flwor.return_expr)
+    # A list, so that every reference outlives the id taken of it.
+    refs = [(ref, parent) for ref, parent in free_refs(ast.FLWORExpr(rest, flwor.return_expr))
+            if isinstance(ref, ast.VarRef)]
+    calls: dict[str, list[ast.FunctionCall]] = {}
+    read = _regrouped(rest, flwor.return_expr, {id(ref) for ref, _ in refs})
+    for ref, parent in refs:
+        if (isinstance(parent, ast.FunctionCall) and parent.name == "count"
+                and len(parent.args) == 1 and parent.args[0] is ref):
+            calls.setdefault(ref.name, []).append(parent)
+        else:
+            read.add(ref.name)
 
     modes: dict[str, str] = {}
     counted: list[ast.FunctionCall] = []
     for var, single in in_scope.items():
         if var in key_vars:
             continue
-        usage = _Usage()
-        count_calls: list[ast.FunctionCall] = []
-        _scan(downstream, var, usage, count_calls)
-        if _regrouped(rest, flwor.return_expr, var):
-            usage.other = True
-        if not usage.counted and not usage.other:
-            modes[var] = "drop"
-        elif usage.counted and not usage.other and single:
-            modes[var] = "count"
-            counted += count_calls
-        else:
+        if var in read or (var in calls and not single):
             modes[var] = "materialize"
+        elif var in calls:
+            modes[var] = "count"
+            counted += calls[var]
+        else:
+            modes[var] = "drop"
     return modes, counted

@@ -14,8 +14,8 @@ class Expr:
     """Base class of all expression nodes."""
 
     def children(self) -> list["Expr"]:
-        """Child expressions, used by scoping and the optimizer's
-        free-variable analysis."""
+        """Child expressions, in source order, for the free-variable
+        walk (``scoping.free_refs``)."""
         return []
 
 

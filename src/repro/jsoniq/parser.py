@@ -57,6 +57,15 @@ def _binary_node(op: str, prec: int, left: ast.Expr, right: ast.Expr) -> ast.Exp
     return ast.Arithmetic(op, left, right)
 
 
+def _fold_prefix(node, n: int, operand: ast.Expr) -> ast.Expr:
+    """A run of ``n`` prefix ``-`` or ``not`` as one node (odd ``n``) or
+    two (even ``n``): two still check the operand's type and take its
+    effective boolean value, and no run nests deeper than that."""
+    for _ in range(min(n, 2 - n % 2)):
+        operand = node(operand)
+    return operand
+
+
 class _Parser:
     def __init__(self, tokens: list[Token]):
         self.toks = tokens
@@ -264,12 +273,15 @@ class _Parser:
         """OrExpr down to MultiplicativeExpr by precedence climbing: an
         operand costs one call however many grammar levels it skips, so
         deep nesting stays within Python's stack."""
-        if min_prec <= _NOT and self.at_kw("not") and self.peek(1).kind != "(":
+        nots = 0
+        while min_prec <= _NOT and self.at_kw("not") and self.peek(1).kind != "(":
             # `not` is a function in JSONiq (fn:not); `not(expr)` parses
             # via the function-call path. A bare keyword prefix is also
             # accepted.
             self.next()
-            left = ast.NotOp(self.parse_binary(_NOT))
+            nots += 1
+        if nots:
+            left = _fold_prefix(ast.NotOp, nots, self.parse_binary(_NOT))
         else:
             left = self.parse_unary()
         while True:
@@ -286,10 +298,7 @@ class _Parser:
         minus = 0
         while self.at("-") or self.at("+"):
             minus += self.next().kind == "-"
-        e = self.parse_postfix()
-        for _ in range(minus):
-            e = ast.UnaryMinus(e)
-        return e
+        return _fold_prefix(ast.UnaryMinus, minus, self.parse_postfix())
 
     # -- postfix / primary --------------------------------------------------
     def parse_postfix(self) -> ast.Expr:

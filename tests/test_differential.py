@@ -161,6 +161,32 @@ def test_order_by_group_outputs(template, spark, local_eng):
     assert got == expected
 
 
+# A group by restores each key from its variable's own cell, as the local
+# path restores it from the group's first tuple. One slice keeps which
+# of two equal keys comes first the same on both paths.
+KEY_RESTORE_QUERIES = [
+    # 1 and 1.0 are one key; both paths restore the first one seen.
+    "for $x in parallelize((1, 1.0, 2.0, 2, 1), 1) group by $k := $x "
+    "order by $k return [$k, count($x)]",
+    # a := key that rebinds the variable it reads
+    "for $o in parallelize({src}, 1) group by $o := $o.g order by $o return $o",
+    # a key bound outside the FLWOR has no column and keeps its value
+    'let $m := "m" return for $o in parallelize({src}, 1) group by $m '
+    'order by $m return {{"m": $m, "n": count($o)}}',
+    "for $o in parallelize({src}, 1) group by $g := $o.g, $t := $o.t group by $g "
+    'order by $g return {{"g": $g, "t": [$t]}}',
+]
+
+
+@pytest.mark.parametrize("template", KEY_RESTORE_QUERIES,
+                         ids=["one-and-one-point-zero", "rebound-key", "outer-key",
+                              "group-group-order"])
+def test_group_key_restore(template, spark, local_eng):
+    q = template.format(src=SRC)
+    # The JSON texts tell 1 from 1.0, which == does not.
+    assert json.dumps(Rumble(spark).run(q)) == json.dumps(local_eng.run(q))
+
+
 def test_order_by_mixed_family_group_keys(spark, local_eng):
     template = "for $o in {src} group by $k := ($o.v, $o.g)[1] order by $k return $k"
     with pytest.raises(TypeError_):
@@ -267,6 +293,8 @@ def test_json_file_decoder_edges(template, edge_path, spark, local_eng):
         ("parallelize((1, 2, 3), 0)", DynamicError),
         ("parallelize((1, 2, 3), -2)", DynamicError),
         ("parallelize((1, 2, 3), (1, 2))", TypeError_),
+        # an even run of minus signs still checks its operand
+        ("for $o in {src} return --$o.g", TypeError_),
     ],
     ids=["order-nonatomic", "group-multi-item", "tail-after-group",
          "tail-after-order", "tail-only", "tail-object-value-of-two",
@@ -275,7 +303,7 @@ def test_json_file_decoder_edges(template, edge_path, spark, local_eng):
          "segment-let-two-items-as-key", "json-file-negative-partitions",
          "json-file-nan-partitions", "json-file-string-partitions",
          "parallelize-zero-slices", "parallelize-negative-slices",
-         "parallelize-two-slice-counts"],
+         "parallelize-two-slice-counts", "double-minus-on-string"],
 )
 def test_error_parity(template, error, spark, local_eng, edge_path):
     """Both paths raise the same error class for illegal keys, operands
@@ -301,6 +329,18 @@ def test_deep_nesting_parity(spark, local_eng):
             engine.run("(" * 200 + "1" + ")" * 200)
 
 
+@pytest.mark.parametrize("query,expected", [
+    ("for $x in {src} return " + "-" * 600 + "$x", [1, 2]),
+    ("for $x in {src} return " + "-" * 601 + "$x", [-1, -2]),
+    ("for $x in {src} where " + "not " * 400 + "$x eq 2 return $x", [2]),
+], ids=["600-minus", "601-minus", "400-not"])
+def test_prefix_run_parity(query, expected, spark, local_eng):
+    """A run of prefix operators parses into at most two nodes, so it
+    compiles and runs at any length on both engines."""
+    assert local_eng.run(query.format(src="(1, 2)")) == expected
+    assert Rumble(spark).run(query.format(src="parallelize((1, 2))")) == expected
+
+
 @pytest.mark.parametrize("template", [
     'json-file("{missing}")',
     'count(json-file("{present},{missing}"))',
@@ -317,3 +357,19 @@ def test_missing_input_parity(template, tmp_path, edge_path, spark, local_eng):
         with pytest.raises(DynamicError) as e:
             engine.run(q)
         assert type(e.value) is DynamicError and named in str(e.value)
+
+
+@pytest.mark.parametrize("pattern, expected", [
+    ("{dir}", [1, 2, 3]),
+    ("{dir}/*.json", [1, 2]),
+    ("{dir}/{{a,b}}.json,{dir}/c.txt", [1, 2, 3]),
+], ids=["directory", "glob", "braces"])
+def test_json_file_path_forms(pattern, expected, tmp_path, spark, local_eng):
+    """json-file() reads a directory, a glob and brace alternatives as
+    Hadoop's text input reads them, on both engines: a name starting
+    with `_` or `.` is hidden."""
+    for name, v in [("a.json", 1), ("b.json", 2), ("c.txt", 3), ("_SUCCESS", 4), (".d.json", 5)]:
+        (tmp_path / name).write_text(json.dumps({"v": v}) + "\n")
+    q = f'for $o in json-file("{pattern.format(dir=tmp_path)}") order by $o.v return $o.v'
+    assert local_eng.run(q) == expected
+    assert Rumble(spark).run(q) == expected

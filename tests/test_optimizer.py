@@ -5,7 +5,7 @@ import pytest
 from repro.core import Rumble, RumbleConfig
 from repro.core.optimizer import plan_groupby_aggregations
 from repro.core.translator import translate
-from repro.jsoniq import ast, parse
+from repro.jsoniq import NonAtomicKeyError, ast, parse
 
 
 def plan(query: str) -> dict[str, str]:
@@ -173,6 +173,17 @@ class TestEndToEndEquivalence:
         ctx = Rumble(None, RumbleConfig(force_local=True))._ctx()
         assert translate(tree).materialize(ctx) == [1, 2]
         assert translate(tree, optimize=False).materialize(ctx) == [1, 2]
+
+    def test_nested_plain_key_reads_outer_variable(self):
+        # `group by $x` in the nested FLWOR reads the outer $x, a group of
+        # two items for $k = 1: it is no count, and both plans raise.
+        query = ("for $x in (1, 1, 2) group by $k := $x order by $k "
+                 "return [for $y in (1) group by $x return count($x)]")
+        assert plan(query) == {"x": "materialize"}
+        ctx = Rumble(None, RumbleConfig(force_local=True))._ctx()
+        for optimize in (True, False):
+            with pytest.raises(NonAtomicKeyError):
+                translate(parse(query), optimize=optimize).materialize(ctx)
 
     def test_explain_shows_identity_rewrite(self, local_engine):
         tree = local_engine.explain(

@@ -1,28 +1,37 @@
-"""Static-context / variable-scoping tests (paper §5.3)."""
+"""Variable-scoping tests (paper §5.3): the free-variable walk and the scope check."""
 import pytest
 
-from repro.jsoniq import check, parse
+from repro.jsoniq import ast, check, parse
 from repro.jsoniq.errors import StaticError
-from repro.jsoniq.scoping import StaticContext
+from repro.jsoniq.scoping import free_refs
 
 
-class TestStaticContextChaining:
-    def test_bind_and_lookup(self):
-        ctx = StaticContext()
-        ctx.bind("x")
-        assert ctx.is_bound("x") and not ctx.is_bound("y")
+def free_names(query: str) -> list[str]:
+    return [r.name if isinstance(r, ast.VarRef) else "$$" for r, _ in free_refs(parse(query))]
 
-    def test_child_sees_parent(self):
-        parent = StaticContext()
-        parent.bind("x")
-        child = parent.child()
-        assert child.is_bound("x")
 
-    def test_parent_does_not_see_child(self):
-        parent = StaticContext()
-        child = parent.child()
-        child.bind("x")
-        assert not parent.is_bound("x")
+@pytest.mark.parametrize("query,free", [
+    # for $v at $p: both bind for what follows, not in their own source.
+    ("for $x at $p in ($x, $p) return ($x, $p, $b)", ["x", "p", "b"]),
+    ("let $x := $x return ($x, $y)", ["x", "y"]),
+    ("for $x in $s count $c return ($c, $d)", ["s", "d"]),
+    # := keys bind in key order.
+    ("for $x in (1) group by $k := $k, $j := $k return ($j, $m)", ["k", "m"]),
+    # A plain key reads its variable.
+    ("for $x in (1) group by $k return $x", ["k"]),
+    ("for $k in (1) group by $k return $k", []),
+    # Quantifier bindings bind in order.
+    ("some $x in $x, $y in $x satisfies $y eq $z", ["x", "z"]),
+    # A predicate binds $$ in its predicate only.
+    ("$$[$$ eq $n]", ["$$", "n"]),
+], ids=["for-at", "let", "count", "group-by-assign", "group-by-plain-unbound",
+        "group-by-plain-bound", "quantifier", "predicate"])
+def test_free_refs(query, free):
+    assert free_names(query) == free
+
+
+def test_free_refs_walks_deep_trees_without_recursion():
+    assert free_names(" + ".join(["$x"] * 5_000)) == ["x"] * 5_000
 
 
 class TestScopeChecks:
