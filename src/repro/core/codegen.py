@@ -25,8 +25,8 @@ partitions rebuild it. Trees pickle without their functions
 (:class:`Built`), and each partition rebuilds them from the tree.
 
 A node that needs a :class:`~repro.core.dynamic_context.DynamicContext`
-(a sequence source, a node with a source below, a lazy builtin, a
-quantifier) gets one built from the variables bound at that point
+(a sequence source, a node with a source below, a lazy builtin) gets
+one built from the variables bound at that point
 (:meth:`Emitter.context`); everything else reads and writes Python
 locals, so the common path builds no context per row. So does a node
 that would nest its code deeper than :data:`MAX_DEPTH`: it runs as a
@@ -131,13 +131,13 @@ class Emitter:
         its local (:data:`FOCUS` to the context item's). A node that
         may be RDD-backed is called through its own evaluator, which
         keeps the §5.5 switch, and so is one past :data:`MAX_DEPTH`."""
-        if node.is_source or node._has_source() or self.depth > MAX_DEPTH:
+        if node.is_source or node.has_source or self.depth > MAX_DEPTH:
             return f"{self.const(node)}.materialize({self.context(env)})"
         return node._emit(self, env)
 
     def iterate(self, node, env: dict[str, str]) -> str:
         """An iterable over ``node``'s sequence: a source streams it."""
-        if node.is_source or node._has_source():
+        if node.is_source or node.has_source:
             return f"{self.const(node)}.iter_items({self.context(env)})"
         return self.emit(node, env)
 
@@ -176,7 +176,7 @@ def evaluator(node) -> Callable:
     RDD-backed first asks whether it is, and if so collects the RDD up
     to the cap (§5.5); a source otherwise lists its stream."""
     b = Emitter()
-    if node.is_source or node._has_source():
+    if node.is_source or node.has_source:
         k = b.const(node)
         with b.block(f"if {k}.supports_rdd(ctx)"):
             b.line(f"return {k}._collect_capped(ctx)")

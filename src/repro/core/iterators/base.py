@@ -77,6 +77,8 @@ class RuntimeIterator(codegen.Built):
 
     def __init__(self, children: list["RuntimeIterator"] | None = None):
         self.children: list[RuntimeIterator] = children or []
+        #: Whether a sequence source lies below this node.
+        self.has_source = any(c.is_source or c.has_source for c in self.children)
 
     # ------------------------------------------------------------------
     # Evaluation: the one local entry point of every consumer
@@ -98,10 +100,6 @@ class RuntimeIterator(codegen.Built):
         """The generated ``ctx -> list`` function of this iterator,
         built on first use and kept until the tree is pickled."""
         return self.built("eval", lambda: codegen.evaluator(self))
-
-    def _has_source(self) -> bool:
-        """Whether a sequence source lies below this node."""
-        return any(c.is_source or c._has_source() for c in self.children)
 
     def _iterate_local(self, ctx: DynamicContext) -> Iterator[Item]:
         raise NotImplementedError(type(self).__name__)

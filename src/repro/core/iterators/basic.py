@@ -1,5 +1,6 @@
 """Basic expression iterators: literals, variables, sequences, ranges,
-the context item, and control flow (if / quantified expressions)."""
+the context item, and ``if``. A quantified expression has no iterator
+of its own: it translates to ``exists``/``empty`` of a FLWOR."""
 from __future__ import annotations
 
 from typing import Iterator
@@ -7,7 +8,7 @@ from typing import Iterator
 from ...jsoniq.errors import TypeError_
 from ..codegen import FOCUS
 from ..dynamic_context import DynamicContext
-from ..items import Item, effective_boolean_value, is_number, to_integer
+from ..items import Item, is_number, to_integer
 from .base import RuntimeIterator
 
 
@@ -104,33 +105,3 @@ class IfIterator(RuntimeIterator):
         with b.block("else"):
             b.line(f"{out} = {b.emit(else_, env)}")
         return out
-
-
-class QuantifiedIterator(RuntimeIterator):
-    """``some/every $v in e ... satisfies p`` — nested iteration binding
-    each variable to one item at a time, stopping at the first item
-    that decides the result."""
-
-    def __init__(self, kind: str, var_names: list[str],
-                 sources: list[RuntimeIterator], satisfies: RuntimeIterator):
-        super().__init__(sources + [satisfies])
-        self.kind = kind
-        self.var_names = var_names
-        self.sources = sources
-        self.satisfies = satisfies
-
-    def _emit(self, b, env):
-        return f"[{b.const(self._holds)}({b.context(env)}, 0)]"
-
-    def _holds(self, ctx: DynamicContext, depth: int) -> bool:
-        some = self.kind == "some"
-        if depth == len(self.sources):
-            return effective_boolean_value(self.satisfies.materialize(ctx))
-        name, src = self.var_names[depth], self.sources[depth]
-        for item in src.iter_items(ctx):
-            if self._holds(ctx.child({name: [item]}), depth + 1) is some:
-                return some
-        return not some
-
-    def _tree_label(self) -> str:
-        return self.kind

@@ -13,7 +13,7 @@ from ..codegen import FOCUS
 from ..dynamic_context import DynamicContext
 from ..items import Item, effective_boolean_value, is_number, to_integer
 from .base import RuntimeIterator
-from .basic import LiteralIterator, QuantifiedIterator, literal_value
+from .basic import LiteralIterator, literal_value
 from .functions import FunctionCallIterator, returns_boolean
 from .operators import BoolOpIterator, ComparisonIterator, NotIterator
 
@@ -147,8 +147,7 @@ def _is_boolean(pred: RuntimeIterator) -> bool:
         return isinstance(pred.value, bool)
     if isinstance(pred, FunctionCallIterator):
         return returns_boolean(pred.name)
-    return isinstance(pred, (ComparisonIterator, BoolOpIterator, NotIterator,
-                             QuantifiedIterator))
+    return isinstance(pred, (ComparisonIterator, BoolOpIterator, NotIterator))
 
 
 class PredicateIterator(RuntimeIterator):

@@ -21,7 +21,6 @@ from .iterators.basic import (
     EmptySequenceIterator,
     IfIterator,
     LiteralIterator,
-    QuantifiedIterator,
     RangeIterator,
     SequenceConcatIterator,
     VarRefIterator,
@@ -100,12 +99,14 @@ def translate(expr: ast.Expr, *, optimize: bool = True) -> RuntimeIterator:
         if isinstance(e, ast.IfExpr):
             return IfIterator([t(e.cond), t(e.then), t(e.else_)])
         if isinstance(e, ast.QuantifiedExpr):
-            return QuantifiedIterator(
-                e.kind,
-                [v for v, _ in e.bindings],
-                [t(src) for _, src in e.bindings],
-                t(e.satisfies),
-            )
+            # some: exists(for ... where p return true);
+            # every: empty(for ... where not(p) return true).
+            fors: list[ClauseIterator] = [ForClauseIterator(v, t(src)) for v, src in e.bindings]
+            p = t(e.satisfies)
+            if e.kind == "every":
+                p = NotIterator([p])
+            flwor = FLWORIterator(fors + [WhereClauseIterator(p)], LiteralIterator(True))
+            return FunctionCallIterator("exists" if e.kind == "some" else "empty", [flwor])
         if isinstance(e, ast.FunctionCall):
             return t_function(e)
         if isinstance(e, ast.FLWORExpr):

@@ -27,7 +27,6 @@ from .lexer import Token, tokenize
 
 _VALUE_COMP = {"eq", "ne", "lt", "le", "gt", "ge"}
 _GENERAL_COMP = {"=": "eq", "!=": "ne", "<": "lt", "<=": "le", ">": "gt", ">=": "ge"}
-_CLAUSE_STARTERS = {"for", "let", "where", "group", "order", "count", "return"}
 
 #: Binary operators (a keyword's value, else the token kind) by
 #: precedence, loosest first. A bare ``not`` sits at ``_NOT``: its

@@ -9,7 +9,6 @@ import pytest
 from repro.core import Rumble, RumbleConfig, codegen
 from repro.core.dynamic_context import DynamicContext
 from repro.core.iterators.base import RuntimeIterator
-from repro.core.translator import translate  # noqa: F401  (imports every iterator)
 from repro.jsoniq.errors import TypeError_
 
 SRC = '({"a": 1, "b": "x"}, {"a": 2, "b": "y"}, {"a": 3})'
@@ -159,3 +158,9 @@ def test_every_node_emits_code():
         assert not hasattr(node, "_compile"), node.__name__
         if not node.is_source and node is not RuntimeIterator:
             assert "_emit" in vars(node), node.__name__
+
+
+def test_long_operator_chain_runs(local_eng):
+    """A 400-term ``1 + 1 + ...`` runs: each node knows whether a source
+    lies below it without walking its subtree again."""
+    assert local_eng.run(" + ".join(["1"] * 400)) == [400]

@@ -295,6 +295,9 @@ def test_json_file_decoder_edges(template, edge_path, spark, local_eng):
         ("parallelize((1, 2, 3), (1, 2))", TypeError_),
         # an even run of minus signs still checks its operand
         ("for $o in {src} return --$o.g", TypeError_),
+        # a quantifier's predicate, run in the FLWOR it translates to
+        ("some $o in {src} satisfies $o.g lt 1", TypeError_),
+        ("every $o in {src} satisfies $o.w[[1]] gt $o.g", TypeError_),
     ],
     ids=["order-nonatomic", "group-multi-item", "tail-after-group",
          "tail-after-order", "tail-only", "tail-object-value-of-two",
@@ -303,7 +306,8 @@ def test_json_file_decoder_edges(template, edge_path, spark, local_eng):
          "segment-let-two-items-as-key", "json-file-negative-partitions",
          "json-file-nan-partitions", "json-file-string-partitions",
          "parallelize-zero-slices", "parallelize-negative-slices",
-         "parallelize-two-slice-counts", "double-minus-on-string"],
+         "parallelize-two-slice-counts", "double-minus-on-string",
+         "some-lt-across-families", "every-gt-across-families"],
 )
 def test_error_parity(template, error, spark, local_eng, edge_path):
     """Both paths raise the same error class for illegal keys, operands

@@ -1,7 +1,5 @@
 """Unit tests for the item model: serialization, effective boolean
 value, comparison, and the §4.7 typed key encoding."""
-import math
-
 import pytest
 
 from repro.core import items

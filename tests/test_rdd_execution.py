@@ -261,6 +261,8 @@ class TestAggregationActions:
             (f"exists({EMPTY_FLWOR})", [False]),
             (f"empty({EMPTY_FLWOR})", [True]),
             (f"head({EMPTY_FLWOR})", []),
+            ("some $x in parallelize(1 to 100) satisfies $x eq 100", [True]),
+            ("every $x in parallelize(1 to 100) satisfies $x lt 100", [False]),
         ],
     )
     def test_first_item_takes_one(self, spark, local_engine, query, expected):
