@@ -25,12 +25,11 @@ partitions rebuild it. Trees pickle without their functions
 (:class:`Built`), and each partition rebuilds them from the tree.
 
 A node that needs a :class:`~repro.core.dynamic_context.DynamicContext`
-(a sequence source, a node with a source below, a lazy builtin) gets
-one built from the variables bound at that point
-(:meth:`Emitter.context`); everything else reads and writes Python
-locals, so the common path builds no context per row. So does a node
-that would nest its code deeper than :data:`MAX_DEPTH`: it runs as a
-function of its own.
+(a sequence source, a node with a source below) gets one built from the
+variables bound at that point (:meth:`Emitter.context`); everything
+else, builtins included, reads and writes Python locals, so the common
+path builds no context per row. So does a node that would nest its
+code deeper than :data:`MAX_DEPTH`: it runs as a function of its own.
 """
 from __future__ import annotations
 
@@ -150,7 +149,7 @@ class Emitter:
         binds = ", ".join(f"{self.const(n)}: {local}" for n, local in env.items() if n != FOCUS)
         self.line(f"{ctx} = ctx.child({{{binds}}})")
         if FOCUS in env:
-            self.line(f"{ctx} = {ctx}.with_context_item({env[FOCUS]})")
+            self.line(f"{ctx}.context_item, {ctx}.has_context_item = {env[FOCUS]}, True")
         return ctx
 
     def function(self, params: str) -> Callable:

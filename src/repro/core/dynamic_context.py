@@ -54,9 +54,6 @@ class DynamicContext:
         ctx.__dict__.update(self.__dict__, variables={**self.variables, **dict(bindings)})
         return ctx
 
-    def with_context_item(self, item: Item) -> "DynamicContext":
-        return DynamicContext(self.variables, item, True, self.config)
-
     def lookup(self, name: str) -> Sequence:
         try:
             return self.variables[name]

@@ -63,11 +63,13 @@ def dumps_seq(seq: Sequence) -> str:
     return _ENCODER.encode(seq)
 
 
-#: Maps each ASCII digit byte to ``0``, ``[`` and ``{`` to ``[``, and
-#: every other byte to a space.
-_MASK = bytes(48 if 48 <= b <= 57 else 91 if b in b"[{" else 32 for b in range(256))
+#: Maps each ASCII digit byte to ``0``, ``{`` to ``[``, and each other
+#: byte a JSON number may follow (``,``, ``-``, whitespace) to ``:``;
+#: ``[``, ``:`` and every other byte map to themselves.
+_MASK = bytes.maketrans(b"0123456789{,-\t\n\r ", b"0000000000[::::::")
 #: orjson turns an integer literal outside [-2^63, 2^64) into a float;
-#: every such literal holds a run of at least 19 digits.
+#: every such literal is a run of at least 19 digits that starts the
+#: text or follows a byte the mask maps to ``[`` or ``:``.
 _LONG_DIGIT_RUN = b"0" * 19
 #: orjson has no nesting limit, where stdlib raises ``RecursionError``
 #: near Python's recursion limit (~1,000 levels). Text with this many
@@ -83,13 +85,15 @@ def loads(text: str) -> Item:
     orjson rejects what stdlib accepts beyond JSON (``NaN``,
     ``Infinity``, ``1e400``, lone surrogates): those, and malformed
     text, fall back to stdlib, which decodes them or raises its own
-    ``JSONDecodeError``. Text holding 19 or more digits in a row, which
-    may be an integer orjson would turn into a float, and text holding
-    500 or more opening brackets, which may nest too deep for stdlib,
-    go straight to stdlib; a digit run or bracket inside a string only
-    costs speed."""
+    ``JSONDecodeError``. Text holding 19 or more digits in a row where a
+    number may start, which may be an integer orjson would turn into a
+    float, and text holding 500 or more opening brackets, which may nest
+    too deep for stdlib, go straight to stdlib; such a run or bracket
+    inside a string only costs speed."""
     mask = text.encode("utf-8", "surrogatepass").translate(_MASK)
-    if _LONG_DIGIT_RUN not in mask and (len(mask) < 2 * _DEEP or mask.count(b"[") < _DEEP):
+    run = _LONG_DIGIT_RUN
+    long_int = run in mask and (mask.startswith(run) or b":" + run in mask or b"[" + run in mask)
+    if not long_int and (len(mask) < 2 * _DEEP or mask.count(b"[") < _DEEP):
         try:
             return orjson.loads(text)
         except orjson.JSONDecodeError:

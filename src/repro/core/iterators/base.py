@@ -26,9 +26,9 @@ Only a node with a source below it can be RDD-backed, so only such a
 node checks ``supports_rdd`` per call, in its own evaluator, and, when
 the sequence *is* an RDD, collects it up to the configured
 materialization cap (§5.5). Generated code calls that evaluator.
-Conversely, aggregating iterators (``count()``...) check
-``supports_rdd`` on their children and run Spark actions instead of
-streaming (§5.5 last paragraph).
+Conversely, an aggregating builtin (``count()``...) is handed its
+argument's RDD when the argument is one, and runs a Spark action
+instead of streaming (§5.5 last paragraph).
 
 Iterators are pure picklable objects: they never hold a SparkSession,
 and the generated functions are left out of the pickled state.

@@ -1,16 +1,15 @@
 """Builtin function library (paper §2.3, §5.7).
 
-Most functions are *value functions*: ``impl(*sequences)`` over their
-arguments' evaluated sequences, called straight from the generated
-code. A *lazy* function (``register(..., lazy=True)``) takes
-``(args, ctx)`` and reads its sequence argument itself, so it can
-stream it, stop at the first item or run a Spark action on it.
-Aggregations (``count``, ``sum``, ...) follow §5.5: when the argument
-sequence is physically an RDD, they run a Spark action on it instead
-of streaming items to the driver, folding the same way as locally — the
-result is a local singleton and "the user does not see the difference".
-``distinct-values`` keeps its output distributed: it maps to the RDD
-``distinct`` transformation.
+Every builtin is ``impl(*sequences)``, called straight from the
+generated code with its arguments' evaluated sequences. One registered
+with ``stream=True`` gets its first argument after the others, as a
+source's stream (otherwise the list), so it may stop early. An *action*
+(``action=True``: aggregations, ``exists``, ``empty``, ``head``) follows
+§5.5: given an RDD-backed sequence, it runs a Spark action on the RDD
+instead of streaming items to the driver, folding the same way as
+locally — the result is a local singleton and "the user does not see
+the difference". ``distinct-values`` keeps its output distributed: it
+maps to the RDD ``distinct`` transformation.
 """
 from __future__ import annotations
 
@@ -20,24 +19,28 @@ import math
 import operator
 from typing import Callable, Iterable
 
+from pyspark import RDD
+
 from ...jsoniq.errors import DynamicError, StaticError, TypeError_
 from ..dynamic_context import DynamicContext
 from ..items import Item, effective_boolean_value, is_atomic, is_number, kind, to_integer
 from .base import RuntimeIterator
 from .operators import atomic_to_string, to_concat_str
 
-# registry: name -> (min_args, max_args, impl, lazy)
-# value impl(*sequences) -> list[Item]; lazy impl(args, ctx) -> list[Item]
+# registry: name -> (min_args, max_args, impl(*sequences) -> list[Item], stream)
 _REGISTRY: dict[str, tuple[int, int, Callable, bool]] = {}
 _BOOLEAN: set[str] = set()  # registered with boolean=True: never return a number
+_ACTIONS: set[str] = set()  # registered with action=True: may be given an RDD
 
 
-def register(name: str, min_args: int, max_args: int, lazy: bool = False,
-             boolean: bool = False):
+def register(name: str, min_args: int, max_args: int, stream: bool = False,
+             action: bool = False, boolean: bool = False):
     def deco(fn):
-        _REGISTRY[name] = (min_args, max_args, fn, lazy)
+        _REGISTRY[name] = (min_args, max_args, fn, stream or action)
         if boolean:
             _BOOLEAN.add(name)
+        if action:
+            _ACTIONS.add(name)
         return fn
 
     return deco
@@ -66,13 +69,20 @@ class FunctionCallIterator(RuntimeIterator):
         validate_call(name, len(args))
 
     def _emit(self, b, env):
-        _, _, impl, lazy = _REGISTRY[self.name]
-        fn = b.const(impl)
-        if lazy:
-            return f"{fn}({b.const(self.children)}, {b.context(env)})"
-        args = [b.value(b.emit(c, env)) for c in self.children[:-1]]
-        args += [b.emit(c, env) for c in self.children[-1:]]
-        return f"{fn}({', '.join(args)})"
+        _, _, impl, stream = _REGISTRY[self.name]
+        if not stream:
+            args = [b.value(b.emit(c, env)) for c in self.children[:-1]]
+            args += [b.emit(c, env) for c in self.children[-1:]]
+            return f"{b.const(impl)}({', '.join(args)})"
+        # The other arguments are evaluated before the streamed one.
+        first, rest = self.children[0], [b.value(b.emit(c, env)) for c in self.children[1:]]
+        if self.name in _ACTIONS and (first.is_source or first.has_source):
+            # §5.5: an action over an RDD runs on Spark.
+            k, c = b.const(first), b.context(env)
+            seq = f"{k}.get_rdd({c}) if {k}.supports_rdd({c}) else {k}.iter_items({c})"
+        else:
+            seq = b.iterate(first, env)
+        return f"{b.const(impl)}({', '.join([seq, *rest])})"
 
     # distinct-values keeps RDD form (§5.6); everything else is local.
     def supports_rdd(self, ctx: DynamicContext) -> bool:
@@ -96,16 +106,15 @@ def _require_atomic(item: Item) -> Item:
 
 
 # ---------------------------------------------------------------------------
-# Aggregations — Spark actions when the child is an RDD (§5.5)
+# Aggregations — Spark actions when the argument is an RDD (§5.5)
 # ---------------------------------------------------------------------------
 
-@register("count", 1, 1, lazy=True)
-def _fn_count(args, ctx):
-    (child,) = args
-    if child.supports_rdd(ctx):
-        return [child.get_rdd(ctx).count()]
+@register("count", 1, 1, action=True)
+def _fn_count(seq):
+    if isinstance(seq, RDD):
+        return [seq.count()]
     n = 0
-    for _ in child.iter_items(ctx):
+    for _ in seq:
         n += 1
     return [n]
 
@@ -120,18 +129,16 @@ def _reduce(step: Callable, accs: Iterable) -> list:
     return []
 
 
-def _fold(child: RuntimeIterator, ctx: DynamicContext, step: Callable,
-          check: Callable) -> list:
-    """Each item of ``child`` turned into an accumulator by ``check``,
+def _fold(seq, step: Callable, check: Callable) -> list:
+    """Each item of ``seq`` turned into an accumulator by ``check``,
     the accumulators combined by ``step``; [] for an empty sequence. On
     an RDD each partition folds its own items and the driver combines
     the partial results with the same ``step`` (§5.5)."""
-    if child.supports_rdd(ctx):
-        parts = child.get_rdd(ctx).mapPartitions(
+    if isinstance(seq, RDD):
+        return _reduce(step, seq.mapPartitions(
             lambda items: _reduce(step, map(check, items))
-        ).collect()
-        return _reduce(step, parts)
-    return _reduce(step, map(check, child.iter_items(ctx)))
+        ).collect())
+    return _reduce(step, map(check, seq))
 
 
 def _num_or_error(item: Item):
@@ -162,78 +169,70 @@ def _max2(a, b):
     return a if a >= b else b
 
 
-@register("sum", 1, 2, lazy=True)
-def _fn_sum(args, ctx):
+@register("sum", 1, 2, action=True)
+def _fn_sum(seq, zero=None):
     # zero value of an empty sequence: second argument, default integer 0
-    out = _fold(args[0], ctx, operator.add, _num_or_error)
-    return out or (args[1].materialize(ctx) if len(args) == 2 else [0])
+    return _fold(seq, operator.add, _num_or_error) or ([0] if zero is None else zero)
 
 
-@register("avg", 1, 1, lazy=True)
-def _fn_avg(args, ctx):
-    pairs = _fold(args[0], ctx, lambda a, b: (a[0] + b[0], a[1] + b[1]),
+@register("avg", 1, 1, action=True)
+def _fn_avg(seq):
+    pairs = _fold(seq, lambda a, b: (a[0] + b[0], a[1] + b[1]),
                   lambda item: (_num_or_error(item), 1))
     return [total / n for total, n in pairs]
 
 
-@register("min", 1, 1, lazy=True)
-def _fn_min(args, ctx):
-    return _fold(args[0], ctx, _min2, _comparable)
+@register("min", 1, 1, action=True)
+def _fn_min(seq):
+    return _fold(seq, _min2, _comparable)
 
 
-@register("max", 1, 1, lazy=True)
-def _fn_max(args, ctx):
-    return _fold(args[0], ctx, _max2, _comparable)
+@register("max", 1, 1, action=True)
+def _fn_max(seq):
+    return _fold(seq, _max2, _comparable)
 
 
 # ---------------------------------------------------------------------------
 # Sequence functions
 # ---------------------------------------------------------------------------
 
-def _first(child: RuntimeIterator, ctx: DynamicContext) -> list:
-    """The first item of ``child`` (or none): ``take(1)`` on an RDD,
-    otherwise the first item pulled."""
-    if child.supports_rdd(ctx):
-        return child.get_rdd(ctx).take(1)
-    for item in child.iter_items(ctx):
+@register("head", 1, 1, action=True)
+def _fn_head(seq):
+    """The first item (or none): ``take(1)`` on an RDD, otherwise the
+    first item pulled."""
+    if isinstance(seq, RDD):
+        return seq.take(1)
+    for item in seq:
         return [item]
     return []
 
 
-@register("empty", 1, 1, lazy=True, boolean=True)
-def _fn_empty(args, ctx):
-    return [not _first(args[0], ctx)]
+@register("empty", 1, 1, action=True, boolean=True)
+def _fn_empty(seq):
+    return [not _fn_head(seq)]
 
 
-@register("exists", 1, 1, lazy=True, boolean=True)
-def _fn_exists(args, ctx):
-    return [bool(_first(args[0], ctx))]
+@register("exists", 1, 1, action=True, boolean=True)
+def _fn_exists(seq):
+    return [bool(_fn_head(seq))]
 
 
-@register("head", 1, 1, lazy=True)
-def _fn_head(args, ctx):
-    return _first(args[0], ctx)
+@register("tail", 1, 1, stream=True)
+def _fn_tail(seq):
+    return list(itertools.islice(seq, 1, None))
 
 
-@register("tail", 1, 1, lazy=True)
-def _fn_tail(args, ctx):
-    it = args[0].iter_items(ctx)
-    next(it, None)
-    return list(it)
+@register("subsequence", 2, 3, stream=True)
+def _fn_subsequence(seq, start, length=None):
+    lo, hi = _positions(start, length, "subsequence")
+    return list(itertools.islice(seq, lo, hi))
 
 
-@register("subsequence", 2, 3, lazy=True)
-def _fn_subsequence(args, ctx):
-    length = args[2].materialize(ctx) if len(args) == 3 else None
-    lo, hi = _positions(args[1].materialize(ctx), length, "subsequence")
-    return list(itertools.islice(args[0].iter_items(ctx), lo, hi))
-
-
-@register("distinct-values", 1, 1, lazy=True)
-def _fn_distinct_values(args, ctx):
+@register("distinct-values", 1, 1, stream=True)
+def _fn_distinct_values(seq):
     seen: set = set()
     out = []
-    for item in args[0].iter_items(ctx):
+    for item in seq:
         _require_atomic(item)
         if item not in seen:
             seen.add(item)
@@ -259,28 +258,28 @@ def _fn_size(seq):
     return [len(seq[0])]
 
 
-@register("keys", 1, 1, lazy=True)
-def _fn_keys(args, ctx):
+@register("keys", 1, 1, stream=True)
+def _fn_keys(seq):
     seen: dict[str, None] = {}
-    for item in args[0].iter_items(ctx):
+    for item in seq:
         if isinstance(item, dict):
             seen.update(dict.fromkeys(item))
     return list(seen)
 
 
-@register("values", 1, 1, lazy=True)
-def _fn_values(args, ctx):
+@register("values", 1, 1, stream=True)
+def _fn_values(seq):
     out = []
-    for item in args[0].iter_items(ctx):
+    for item in seq:
         if isinstance(item, dict):
             out.extend(item.values())
     return out
 
 
-@register("members", 1, 1, lazy=True)
-def _fn_members(args, ctx):
+@register("members", 1, 1, stream=True)
+def _fn_members(seq):
     out = []
-    for item in args[0].iter_items(ctx):
+    for item in seq:
         if isinstance(item, list):
             out.extend(item)
     return out
@@ -417,12 +416,10 @@ def _fn_concat(*seqs):
     return ["".join(map(to_concat_str, seqs))]
 
 
-@register("string-join", 1, 2, lazy=True)
-def _fn_string_join(args, ctx):
-    sep = ""
-    if len(args) == 2:
-        sep = _single_string(args[1].materialize(ctx), "string-join() separator") or ""
-    return [sep.join(map(atomic_to_string, args[0].iter_items(ctx)))]
+@register("string-join", 1, 2, stream=True)
+def _fn_string_join(seq, sep=()):
+    sep = _single_string(sep, "string-join() separator") or ""
+    return [sep.join(map(atomic_to_string, seq))]
 
 
 # ---------------------------------------------------------------------------

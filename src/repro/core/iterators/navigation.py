@@ -9,7 +9,7 @@ runtime iterators, evaluated on executors via the local API (§5.6).
 from __future__ import annotations
 
 from ...jsoniq.errors import TypeError_
-from ..codegen import FOCUS
+from ..codegen import FOCUS, Emitter
 from ..dynamic_context import DynamicContext
 from ..items import Item, effective_boolean_value, is_number, to_integer
 from .base import RuntimeIterator
@@ -154,9 +154,10 @@ class PredicateIterator(RuntimeIterator):
     """``e[p]`` — filter with ``$$`` bound to each candidate item.
 
     A numeric predicate result selects by 1-based position; any other
-    result is taken as an effective boolean value. On the RDD path a
-    predicate that can only give a boolean is a plain ``filter``; any
-    other one sees each item's position from ``zipWithIndex``.
+    result is taken as an effective boolean value. ``$$`` is a local of
+    one generated loop, which on the RDD path each partition runs: over
+    its items when the predicate can only give a boolean, otherwise
+    over its ``zipWithIndex`` pairs, which carry each item's position.
     """
 
     def __init__(self, target: RuntimeIterator, pred: RuntimeIterator):
@@ -165,13 +166,9 @@ class PredicateIterator(RuntimeIterator):
         self.pred = pred
 
     def _emit(self, b, env):
-        # ``$$`` is a local of the loop over the target's items.
-        out, pos, item = b.tmp(), b.tmp(), b.tmp()
+        out = b.tmp()
         b.line(f"{out} = []")
-        with b.block(f"for {pos}, {item} in enumerate({b.emit(self.target, env)}, 1)"):
-            keep = b.emit(self.pred, {**env, FOCUS: item})
-            with b.block(f"if {b.const(_keep)}({keep}, {pos})"):
-                b.line(f"{out}.append({item})")
+        _select(b, self.pred, env, f"enumerate({b.emit(self.target, env)}, 1)", out + ".append({})")
         return out
 
     def supports_rdd(self, ctx: DynamicContext) -> bool:
@@ -179,13 +176,24 @@ class PredicateIterator(RuntimeIterator):
 
     def get_rdd(self, ctx: DynamicContext):
         rdd = self.target.get_rdd(ctx)
-        pred, outer = self.pred, ctx
-        if _is_boolean(pred):
-            return rdd.filter(lambda item: effective_boolean_value(
-                pred.materialize(outer.with_context_item(item))))
+        pred, outer, pairs = self.pred, ctx, "enumerate(items, 1)"
+        if not _is_boolean(pred):
+            rdd, pairs = rdd.zipWithIndex(), "((i + 1, x) for x, i in items)"
 
-        def keep(pair) -> bool:
-            item, index = pair
-            return _keep(pred.materialize(outer.with_context_item(item)), index + 1)
+        def keep(items):  # a generated f(ctx, items) per partition
+            run = pred.built(pairs, lambda: _select(Emitter(), pred, {}, pairs, "yield {}")
+                             .function("ctx, items"))
+            return run(outer, items)
 
-        return rdd.zipWithIndex().filter(keep).map(lambda pair: pair[0])
+        return rdd.mapPartitions(keep, preservesPartitioning=True)
+
+
+def _select(b, pred: RuntimeIterator, env: dict, pairs: str, sink: str):
+    """Writes to ``b`` the loop over ``pairs``, ``(position, item)``,
+    that runs ``sink`` (formatted with the item) for each item ``pred``
+    keeps, and returns ``b``."""
+    pos, item = b.tmp(), b.tmp()
+    with b.block(f"for {pos}, {item} in {pairs}"):
+        with b.block(f"if {b.const(_keep)}({b.emit(pred, {**env, FOCUS: item})}, {pos})"):
+            b.line(sink.format(item))
+    return b

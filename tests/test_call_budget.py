@@ -12,7 +12,9 @@ dominates a query's time:
   plus its group key, over encoded rows;
 * the whole ``readme-small`` query on the local engine
   (``force_local``), over a ``json-file()``: the path the Fig. 12
-  single-threaded baselines run, which no benchmark times.
+  single-threaded baselines run, which no benchmark times;
+* builtins over a FLWOR's locals on the local engine, which build no
+  dynamic context.
 """
 import json
 import sys
@@ -35,6 +37,11 @@ CALL_BUDGET = 498
 SEGMENT_CALL_BUDGET = 1_481
 #: Calls measured when the budget was set (1,808, 9.0 per row), plus 10%.
 LOCAL_CALL_BUDGET = 1_988
+#: Calls measured when the budget was set (5,432, 27.2 per row), plus
+#: 10%. A builtin gets its argument's list, or a source's stream, and
+#: no context: ``count`` and ``head`` make one call, ``exists`` and
+#: ``empty`` two.
+BUILTIN_CALL_BUDGET = 5_975
 
 QUERY = (
     'for $c in json-file("unused.json") '
@@ -42,6 +49,10 @@ QUERY = (
     "where $c.year ge 2014 "
     'return {"author": $c.author, "sub": $c.subreddit, '
     '"score": $s, "edited": $c.edited}'
+)
+BUILTIN_QUERY = (
+    'for $x in 1 to 200 let $v := ($x, $x + 1), $o := {"a": $x} '
+    "return (count($v), exists($o.a), sum($v), head($v), empty($o.b))"
 )
 README_QUERY = (
     'for $i in json-file("unused.json") '
@@ -127,3 +138,15 @@ def test_local_call_budget(tmp_path):
     calls = count_calls(lambda: out.extend(flwor.materialize(DynamicContext(config=eng.config))))
     assert out == expected
     assert calls <= LOCAL_CALL_BUDGET, f"{calls / ROWS:.1f} Python calls per row"
+
+
+def test_builtin_call_budget():
+    eng = Rumble(None, RumbleConfig(force_local=True))
+    flwor = eng.compile(BUILTIN_QUERY)
+    expected = [y for x in range(1, ROWS + 1) for y in (2, True, 2 * x + 1, x, True)]
+    assert flwor.materialize(DynamicContext(config=eng.config)) == expected  # also builds the evaluators
+
+    out = []
+    calls = count_calls(lambda: out.extend(flwor.materialize(DynamicContext(config=eng.config))))
+    assert out == expected
+    assert calls <= BUILTIN_CALL_BUDGET, f"{calls / ROWS:.1f} Python calls per row"

@@ -79,6 +79,14 @@ QUERIES = [
     "for $o in {src} for $m allowing empty in $o.w[] "
     "order by $m empty greatest, $o.v return ($m, $o.v)",
     "for $o in {src} for $m in $o.w[] let $d := $m * 2 count $c return ($c, $d)",
+    # streamed and §5.5 builtins over a row's locals
+    "for $o in {src} where count(($o.v, $o.w[])) gt 1 "
+    'return [head($o.w[]), sum($o.w[]), string-join(keys($o), "-")]',
+    # predicates over the source: one reads an outer variable, one
+    # selects by position after a filter, one holds a sequence source
+    "let $m := 2 return count({src}[$$.v ge $m])",
+    '{src}[$$.g eq "a"][2]',
+    "{src}[count(1 to 2) eq 2]",
 ]
 
 # One expression per kind of compiled iterator. Each runs in the return
@@ -298,6 +306,9 @@ def test_json_file_decoder_edges(template, edge_path, spark, local_eng):
         # a quantifier's predicate, run in the FLWOR it translates to
         ("some $o in {src} satisfies $o.g lt 1", TypeError_),
         ("every $o in {src} satisfies $o.w[[1]] gt $o.g", TypeError_),
+        # a predicate's filter over the source, and an action on it
+        ("{src}[$$.g lt 1]", TypeError_),
+        ("sum({src}.g)", TypeError_),
     ],
     ids=["order-nonatomic", "group-multi-item", "tail-after-group",
          "tail-after-order", "tail-only", "tail-object-value-of-two",
@@ -307,7 +318,8 @@ def test_json_file_decoder_edges(template, edge_path, spark, local_eng):
          "json-file-nan-partitions", "json-file-string-partitions",
          "parallelize-zero-slices", "parallelize-negative-slices",
          "parallelize-two-slice-counts", "double-minus-on-string",
-         "some-lt-across-families", "every-gt-across-families"],
+         "some-lt-across-families", "every-gt-across-families",
+         "predicate-lt-across-families", "sum-of-strings"],
 )
 def test_error_parity(template, error, spark, local_eng, edge_path):
     """Both paths raise the same error class for illegal keys, operands

@@ -1,7 +1,9 @@
 """Builtin function library tests (local evaluation)."""
 import pytest
 
-from repro.jsoniq.errors import DynamicError, StaticError, TypeError_
+from repro.core import Rumble
+from repro.core.iterators.functions import _REGISTRY
+from repro.jsoniq.errors import DynamicError, RumbleError, StaticError, TypeError_
 
 AGGREGATES = [
     ("count(())", [0]),
@@ -236,3 +238,34 @@ class TestFunctionErrors:
         import math
 
         assert math.isnan(local_engine.run('number("nope")')[0])
+
+
+#: Every builtin that streams its first argument.
+STREAMED = sorted(name for name, (_, _, _, stream) in _REGISTRY.items() if stream)
+#: One item of each kind.
+MIXED = '(1, 2.5, "a", {"k": 1}, [3], null)'
+
+
+@pytest.mark.parametrize("name", STREAMED)
+def test_streamed_argument_is_listed_argument(local_engine, name):
+    """A source's stream (a FLWOR, read as a generator) gives what its
+    list gives: the same items or the same error class."""
+    rest = ", 2" * (_REGISTRY[name][0] - 1)
+
+    def outcome(seq):
+        try:
+            return local_engine.run(f"{name}({seq}{rest})")
+        except RumbleError as exc:
+            return type(exc)
+
+    assert outcome(f"for $i in {MIXED} return $i") == outcome(MIXED)
+
+
+@pytest.mark.parametrize("query", ["sum((1, 2), 1 div 0)",
+                                   "sum(parallelize((1, 2)), 1 div 0)"])
+def test_other_arguments_evaluate_before_the_streamed_one(local_engine, spark, query):
+    """A builtin evaluates its other arguments first, even a zero value
+    that a non-empty sequence does not need."""
+    for engine in (local_engine, Rumble(spark)):
+        with pytest.raises(DynamicError):
+            engine.run(query)

@@ -1,7 +1,10 @@
 """Unit tests for the item model: serialization, effective boolean
 value, comparison, and the §4.7 typed key encoding."""
+import json
+
 import pytest
 
+from repro import synth_data
 from repro.core import items
 from repro.jsoniq.errors import NonAtomicKeyError, TypeError_
 
@@ -198,3 +201,24 @@ class TestOrderableTypeCheck:
     def test_incompatible(self, codes):
         with pytest.raises(TypeError_):
             items.check_orderable_types(codes)
+
+
+class TestDecodeGuard:
+    """``items.loads`` sends a text to stdlib ``json`` for its digits only
+    when a run of 19 sits where an integer literal may start."""
+
+    def test_generated_lines_stay_on_orjson(self, monkeypatch):
+        # The confusion ``sample`` field starts with 16 or more zeros.
+        objs = synth_data.confusion_pandas(2_000, seed=7).to_dict(orient="records")
+        objs += synth_data.reddit_pandas(2_000, seed=11)["obj"].tolist()
+        lines = [json.dumps(o, separators=(",", ":")) for o in objs]
+        monkeypatch.setattr(json, "loads", lambda text: pytest.fail(f"stdlib read {text}"))
+        assert [items.loads(line) for line in lines] == objs
+
+    def test_reddit_line_costs_one_search(self):
+        """No Reddit line holds 19 digits in a row anywhere, so the one
+        search of the mask for such a run decides it."""
+        objs = synth_data.reddit_pandas(2_000, seed=11)["obj"].tolist()
+        masks = [json.dumps(o, separators=(",", ":")).encode().translate(items._MASK)
+                 for o in objs]
+        assert not any(items._LONG_DIGIT_RUN in mask for mask in masks)

@@ -49,6 +49,11 @@ EDGE_TEXTS = [
     "-9223372036854775809", "18446744073709551615", "18446744073709551616",
     "123456789012345678901234567890", "1234567890123456789.5",
     "-0", "-0.0", "0.1", "1E+2",
+    # a 20-digit run where an integer may start, and where one may not
+    "12345678901234567890", "-12345678901234567890", "[12345678901234567890]",
+    '{"a": 12345678901234567890}', '{"a":-12345678901234567890}',
+    '"x12345678901234567890"', "1e12345678901234567890", "1.5E-12345678901234567890",
+    "0.12345678901234567890", "1.12345678901234567890e3",
     "1, 2", "\ufeff1", '"a\tb"', "", " ", "01", "[1,]", "{'a': 1}", "tru", "[", '"',
 ]
 
