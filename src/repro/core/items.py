@@ -225,6 +225,8 @@ def value_compare(op: str, a_seq: Sequence, b_seq: Sequence) -> Sequence:
         if op == "ne":
             return [True]
         raise TypeError_(f"cannot compare {kind(a)} with {kind(b)} using '{op}'")
+    if c == 0 and a != b:  # NaN: equal to nothing, itself included, and unordered
+        return [op == "ne"]
     return [_COMPARE[op](c, 0)]
 
 
@@ -254,6 +256,8 @@ def encode_key(seq: Sequence, *, empty_greatest: bool = False, clause: str = "ke
     """Encode a key binding as (type code, string value, double value,
     residual ``n - int(float(n))`` of an integer ``n``, which orders the
     integers beyond 2^53 that share a double; it is exact below 2^106).
+    Every NaN is one key, ``-INF`` with residual -1, ordered below every
+    other number: XQuery's order under ``empty least`` (DESIGN.md §5b).
 
     Raises :class:`NonAtomicKeyError` when the binding is not a single
     atomic item or the empty sequence (§4.7/§4.8 requirement).
@@ -271,6 +275,8 @@ def encode_key(seq: Sequence, *, empty_greatest: bool = False, clause: str = "ke
         return (TYPE_STRING, item, 0.0, 0.0)
     if is_number(item):
         d = float(item)
+        if d != d:
+            return (TYPE_NUMBER, "", -math.inf, -1.0)
         return (TYPE_NUMBER, "", d, float(item - int(d)) if isinstance(item, int) else 0.0)
     raise NonAtomicKeyError(f"{clause} bound to a {kind(item)}")
 

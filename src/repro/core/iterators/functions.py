@@ -9,7 +9,8 @@ source's stream (otherwise the list), so it may stop early. An *action*
 instead of streaming items to the driver, folding the same way as
 locally — the result is a local singleton and "the user does not see
 the difference". ``distinct-values`` keeps its output distributed: it
-maps to the RDD ``distinct`` transformation.
+keys each item by its §4.7 encoding and keeps one per key
+(``reduceByKey``), as its local path keeps the first.
 """
 from __future__ import annotations
 
@@ -23,7 +24,8 @@ from pyspark import RDD
 
 from ...jsoniq.errors import DynamicError, StaticError, TypeError_
 from ..dynamic_context import DynamicContext
-from ..items import Item, effective_boolean_value, is_atomic, is_number, kind, to_integer
+from ..items import (Item, effective_boolean_value, encode_key, is_atomic, is_number, kind,
+                     to_integer)
 from .base import RuntimeIterator
 from .operators import atomic_to_string, to_concat_str
 
@@ -92,17 +94,24 @@ class FunctionCallIterator(RuntimeIterator):
 
     def get_rdd(self, ctx: DynamicContext):
         if self.name == "distinct-values":
-            return self.children[0].get_rdd(ctx).map(_require_atomic).distinct()
+            return self.children[0].get_rdd(ctx).keyBy(_distinct_key) \
+                .reduceByKey(lambda a, b: a).values()
         return super().get_rdd(ctx)
 
     def _tree_label(self) -> str:
         return self.name
 
 
-def _require_atomic(item: Item) -> Item:
+def _distinct_key(item: Item):
+    """The identity of an atomic item in ``distinct-values``: its §4.7
+    encoding, under which ``1`` and ``1.0`` are one value, ``1`` and
+    ``true`` two, and every NaN one."""
     if not is_atomic(item):
         raise TypeError_(f"distinct-values on a {kind(item)}")
-    return item
+    try:
+        return encode_key([item])
+    except OverflowError:  # an integer beyond the double range is no double
+        return item
 
 
 # ---------------------------------------------------------------------------
@@ -159,14 +168,15 @@ def _same_family(a: Item, b: Item) -> None:
         raise TypeError_(f"min/max over mixed {kind(a)} and {kind(b)}")
 
 
+# A NaN wins (XPath F&O 3.1 §14.4), whichever side it is on.
 def _min2(a, b):
     _same_family(a, b)
-    return a if a <= b else b
+    return a if a <= b or a != a else b
 
 
 def _max2(a, b):
     _same_family(a, b)
-    return a if a >= b else b
+    return a if a >= b or a != a else b
 
 
 @register("sum", 1, 2, action=True)
@@ -230,14 +240,10 @@ def _fn_subsequence(seq, start, length=None):
 
 @register("distinct-values", 1, 1, stream=True)
 def _fn_distinct_values(seq):
-    seen: set = set()
-    out = []
+    first: dict = {}
     for item in seq:
-        _require_atomic(item)
-        if item not in seen:
-            seen.add(item)
-            out.append(item)
-    return out
+        first.setdefault(_distinct_key(item), item)
+    return list(first.values())
 
 
 @register("reverse", 1, 1)

@@ -1,28 +1,96 @@
 """Navigation iterators: object lookup, array unboxing/lookup,
 predicates (paper §4.1.2, §5.6).
 
-These are the expressions Rumble pushes down to Spark: when the target
-sequence is physically an RDD of items, lookup/unbox/filter become
-``flatMap``/``filter`` transformations whose closures carry the nested
-runtime iterators, evaluated on executors via the local API (§5.6).
+Each is a *step*: a target plus at most one argument (a key, an index
+or a predicate). A step states its semantics once, as the generated
+loop over its target's items that hands each item it gives to a sink
+(:meth:`NavigationStep._loop`). Locally the loop runs over the target's
+list and the sink appends to a list. These are the expressions Rumble
+pushes down to Spark: when the target sequence is physically an RDD of
+items, each partition runs the same loop as a generator
+(``mapPartitions``), in a closure that carries the step without its
+target, evaluated on executors via the local API (§5.6).
 """
 from __future__ import annotations
+
+import copy
 
 from ...jsoniq.errors import TypeError_
 from ..codegen import FOCUS, Emitter
 from ..dynamic_context import DynamicContext
-from ..items import Item, effective_boolean_value, is_number, to_integer
+from ..items import effective_boolean_value, is_number, to_integer
 from .base import RuntimeIterator
 from .basic import LiteralIterator, literal_value
 from .functions import FunctionCallIterator, returns_boolean
 from .operators import BoolOpIterator, ComparisonIterator, NotIterator
 
 
-def _lookup_one(item: Item, key: str):
-    """Lenient object lookup: non-objects and missing keys yield nothing."""
-    if isinstance(item, dict) and key in item:
-        return [item[key]]
-    return []
+class NavigationStep(RuntimeIterator):
+    """A target plus at most one argument. A key or index argument is
+    evaluated once, before the target, by :attr:`check`; a predicate is
+    evaluated by the loop, per item."""
+
+    #: The type of a literal argument, folded into a constant.
+    literal: type | None = None
+    #: Turns the argument's sequence into the value the loop reads; None
+    #: when the loop reads no such value.
+    check = None
+
+    def __init__(self, target: RuntimeIterator, arg: RuntimeIterator | None = None):
+        super().__init__([target] if arg is None else [target, arg])
+        self.target = target
+        self.arg = arg
+
+    def _loop(self, b: Emitter, env: dict, arg: str | None, items: str, sink) -> None:
+        """Writes to ``b`` the loop over ``items``, what :meth:`_over`
+        gives, that calls ``sink(x)`` for each item ``x`` the step gives
+        (``sink(x, each=True)`` for each member of ``x``). ``arg`` names
+        the checked key or index."""
+        raise NotImplementedError
+
+    def _over(self, items: str, rdd=None):
+        """The loop's iterable, from the expression ``items`` of the
+        target's items, and the RDD whose partitions run the loop, from
+        the target's RDD (None locally). Both are the target's own
+        unless the step numbers its items."""
+        return items, rdd
+
+    def _emit(self, b, env):
+        # The key or index is evaluated before the target.
+        arg = None
+        if self.check is not None:
+            folded = literal_value(self.arg, self.literal)
+            arg = (b.const(folded) if folded is not None
+                   else b.value(f"{b.const(self.check)}({b.emit(self.arg, env)})"))
+        out = b.tmp()
+        b.line(f"{out} = []")
+        items, _ = self._over(b.emit(self.target, env))
+        self._loop(b, env, arg, items, lambda x, each=False: b.line(
+            f"{out}.{'extend' if each else 'append'}({x})"))
+        return out
+
+    def supports_rdd(self, ctx: DynamicContext) -> bool:
+        return self.target.supports_rdd(ctx)
+
+    def get_rdd(self, ctx: DynamicContext):
+        # The key or index is checked once, on the driver, before the
+        # target's RDD is built; the loop reads it as a constant.
+        arg = None if self.check is None else self.check(self.arg.materialize(ctx))
+        items, rdd = self._over("items", self.target.get_rdd(ctx))
+        step = copy.copy(self)  # the closure ships the step without its target
+        step.target, step.children = None, []
+
+        def run(part):  # a generated f(ctx, items) per partition
+            return step.built("rdd", lambda: step._partition_loop(arg, items))(ctx, part)
+
+        return rdd.mapPartitions(run, preservesPartitioning=True)
+
+    def _partition_loop(self, arg, items: str):
+        """The loop as the generator ``f(ctx, items)`` of one partition."""
+        b = Emitter()
+        self._loop(b, {}, None if self.check is None else b.const(arg), items,
+                   lambda x, each=False: b.line(f"yield {'from ' if each else ''}{x}"))
+        return b.function("ctx, items")
 
 
 def _key_string(seq) -> str:
@@ -31,105 +99,49 @@ def _key_string(seq) -> str:
     return seq[0]
 
 
-class ObjectLookupIterator(RuntimeIterator):
-    """``e.key`` — flatMap of a per-object lookup (§4.1.2)."""
+class ObjectLookupIterator(NavigationStep):
+    """``e.key`` — each object's value under the key (§4.1.2);
+    non-objects and objects without the key give nothing."""
 
-    def __init__(self, target: RuntimeIterator, key: RuntimeIterator):
-        super().__init__([target, key])
-        self.target = target
-        self.key = key
+    literal, check = str, staticmethod(_key_string)
 
-    def _emit(self, b, env):
-        # The key is evaluated before the target.
-        folded = literal_value(self.key, str)
-        if folded is not None:
-            key = b.const(folded)
-        else:
-            key = b.value(f"{b.const(_key_string)}({b.emit(self.key, env)})")
-        out, item = b.tmp(), b.tmp()
-        b.line(f"{out} = []")
-        with b.block(f"for {item} in {b.emit(self.target, env)}"):
+    def _loop(self, b, env, key, items, sink):
+        item = b.tmp()
+        with b.block(f"for {item} in {items}"):
             with b.block(f"if isinstance({item}, dict) and {key} in {item}"):
-                b.line(f"{out}.append({item}[{key}])")
-        return out
-
-    def supports_rdd(self, ctx: DynamicContext) -> bool:
-        return self.target.supports_rdd(ctx)
-
-    def get_rdd(self, ctx: DynamicContext):
-        key = _key_string(self.key.materialize(ctx))
-        return self.target.get_rdd(ctx).flatMap(lambda it: _lookup_one(it, key))
+                sink(f"{item}[{key}]")
 
 
-class ArrayUnboxIterator(RuntimeIterator):
+class ArrayUnboxIterator(NavigationStep):
     """``e[]`` — flattens arrays into their members; skips non-arrays."""
 
-    def __init__(self, target: RuntimeIterator):
-        super().__init__([target])
-        self.target = target
-
-    def _emit(self, b, env):
-        out, item = b.tmp(), b.tmp()
-        b.line(f"{out} = []")
-        with b.block(f"for {item} in {b.emit(self.target, env)}"):
+    def _loop(self, b, env, arg, items, sink):
+        item = b.tmp()
+        with b.block(f"for {item} in {items}"):
             with b.block(f"if isinstance({item}, list)"):
-                b.line(f"{out}.extend({item})")
-        return out
-
-    def supports_rdd(self, ctx: DynamicContext) -> bool:
-        return self.target.supports_rdd(ctx)
-
-    def get_rdd(self, ctx: DynamicContext):
-        return self.target.get_rdd(ctx).flatMap(
-            lambda it: it if isinstance(it, list) else []
-        )
+                sink(item, each=True)
 
 
-def _index_int(seq) -> int | None:
+def _index_int(seq) -> int:
+    """The 1-based index of ``e[[i]]``; 0, which selects no member, for
+    the empty sequence."""
     if not seq:
-        return None
+        return 0
     if len(seq) != 1 or not is_number(seq[0]):
         raise TypeError_("array lookup index must be a single number")
     return to_integer(seq[0], "array lookup index")
 
 
-class ArrayLookupIterator(RuntimeIterator):
+class ArrayLookupIterator(NavigationStep):
     """``e[[i]]`` — 1-based member lookup in each array item."""
 
-    def __init__(self, target: RuntimeIterator, index: RuntimeIterator):
-        super().__init__([target, index])
-        self.target = target
-        self.index = index
+    literal, check = int, staticmethod(_index_int)
 
-    def _emit(self, b, env):
-        # The index is evaluated before the target, which an empty index
-        # does not evaluate.
-        folded = literal_value(self.index, int)
-        if folded is not None:
-            i = b.const(folded)
-        else:
-            i = b.value(f"{b.const(_index_int)}({b.emit(self.index, env)})")
-        out, item = b.tmp(), b.tmp()
-        b.line(f"{out} = []")
-        with b.block(f"if {i} is not None"):
-            with b.block(f"for {item} in {b.emit(self.target, env)}"):
-                with b.block(f"if isinstance({item}, list) and 1 <= {i} <= len({item})"):
-                    b.line(f"{out}.append({item}[{i} - 1])")
-        return out
-
-    def supports_rdd(self, ctx: DynamicContext) -> bool:
-        return self.target.supports_rdd(ctx)
-
-    def get_rdd(self, ctx: DynamicContext):
-        i = _index_int(self.index.materialize(ctx))
-        rdd = self.target.get_rdd(ctx)
-        if i is None:
-            return rdd.filter(lambda _: False)
-        return rdd.flatMap(
-            lambda it: [it[i - 1]]
-            if isinstance(it, list) and 1 <= i <= len(it)
-            else []
-        )
+    def _loop(self, b, env, i, items, sink):
+        item = b.tmp()
+        with b.block(f"for {item} in {items}"):
+            with b.block(f"if isinstance({item}, list) and 1 <= {i} <= len({item})"):
+                sink(f"{item}[{i} - 1]")
 
 
 def _keep(result, pos: int) -> bool:
@@ -150,50 +162,24 @@ def _is_boolean(pred: RuntimeIterator) -> bool:
     return isinstance(pred, (ComparisonIterator, BoolOpIterator, NotIterator))
 
 
-class PredicateIterator(RuntimeIterator):
+class PredicateIterator(NavigationStep):
     """``e[p]`` — filter with ``$$`` bound to each candidate item.
 
     A numeric predicate result selects by 1-based position; any other
     result is taken as an effective boolean value. ``$$`` is a local of
-    one generated loop, which on the RDD path each partition runs: over
-    its items when the predicate can only give a boolean, otherwise
-    over its ``zipWithIndex`` pairs, which carry each item's position.
+    the loop, which runs over ``(position, item)`` pairs: on the RDD
+    path a partition's items numbered from 1 when the predicate can only
+    give a boolean, otherwise its ``zipWithIndex`` pairs, which carry
+    each item's position in the whole sequence.
     """
 
-    def __init__(self, target: RuntimeIterator, pred: RuntimeIterator):
-        super().__init__([target, pred])
-        self.target = target
-        self.pred = pred
+    def _over(self, items, rdd=None):
+        if rdd is not None and not _is_boolean(self.arg):
+            return "((i + 1, x) for x, i in items)", rdd.zipWithIndex()
+        return f"enumerate({items}, 1)", rdd
 
-    def _emit(self, b, env):
-        out = b.tmp()
-        b.line(f"{out} = []")
-        _select(b, self.pred, env, f"enumerate({b.emit(self.target, env)}, 1)", out + ".append({})")
-        return out
-
-    def supports_rdd(self, ctx: DynamicContext) -> bool:
-        return self.target.supports_rdd(ctx)
-
-    def get_rdd(self, ctx: DynamicContext):
-        rdd = self.target.get_rdd(ctx)
-        pred, outer, pairs = self.pred, ctx, "enumerate(items, 1)"
-        if not _is_boolean(pred):
-            rdd, pairs = rdd.zipWithIndex(), "((i + 1, x) for x, i in items)"
-
-        def keep(items):  # a generated f(ctx, items) per partition
-            run = pred.built(pairs, lambda: _select(Emitter(), pred, {}, pairs, "yield {}")
-                             .function("ctx, items"))
-            return run(outer, items)
-
-        return rdd.mapPartitions(keep, preservesPartitioning=True)
-
-
-def _select(b, pred: RuntimeIterator, env: dict, pairs: str, sink: str):
-    """Writes to ``b`` the loop over ``pairs``, ``(position, item)``,
-    that runs ``sink`` (formatted with the item) for each item ``pred``
-    keeps, and returns ``b``."""
-    pos, item = b.tmp(), b.tmp()
-    with b.block(f"for {pos}, {item} in {pairs}"):
-        with b.block(f"if {b.const(_keep)}({b.emit(pred, {**env, FOCUS: item})}, {pos})"):
-            b.line(sink.format(item))
-    return b
+    def _loop(self, b, env, arg, pairs, sink):
+        pos, item = b.tmp(), b.tmp()
+        with b.block(f"for {pos}, {item} in {pairs}"):
+            with b.block(f"if {b.const(_keep)}({b.emit(self.arg, {**env, FOCUS: item})}, {pos})"):
+                sink(item)

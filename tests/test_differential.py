@@ -362,7 +362,11 @@ def test_prefix_run_parity(query, expected, spark, local_eng):
     'count(json-file("{present},{missing}"))',
     'for $o in json-file("{missing}", 2) group by $k := $o.k return $k',
     'json-file("{present},")',
-], ids=["source", "second-of-two", "before-group-by", "empty-part"])
+    # an empty index selects nothing, but its target still runs
+    'json-file("{missing}")[[()]]',
+    'count(json-file("{missing}")[[()]])',
+], ids=["source", "second-of-two", "before-group-by", "empty-part", "empty-index",
+        "count-of-empty-index"])
 def test_missing_input_parity(template, tmp_path, edge_path, spark, local_eng):
     """A json-file() path, or a comma-separated part of one, that
     matches no file raises one DynamicError naming it on both engines."""
@@ -373,6 +377,41 @@ def test_missing_input_parity(template, tmp_path, edge_path, spark, local_eng):
         with pytest.raises(DynamicError) as e:
             engine.run(q)
         assert type(e.value) is DynamicError and named in str(e.value)
+
+
+def test_lookup_key_is_checked_before_its_target(tmp_path, spark, local_eng):
+    """A key that is not a string raises its TypeError_ before the
+    missing input is read, on both engines."""
+    q = f'json-file("{tmp_path / "no-such-file*.json"}").(1)'
+    for engine in (local_eng, Rumble(spark)):
+        with pytest.raises(TypeError_) as e:
+            engine.run(q)
+        assert type(e.value) is TypeError_
+
+
+@pytest.mark.parametrize("template, src, expected", [
+    ("for $x in {src} group by $k := $x return count($x)",
+     '(number("x"), number("x"), 1)', [1, 2]),
+    ("for $x in {src} order by $x return $x",
+     '(number("x"), 2, number("x"), 1, number("-INF"))',
+     [float("nan"), float("nan"), float("-inf"), 1, 2]),
+    ("for $x in {src} order by $x descending return $x",
+     '(number("x"), 2, number("x"), 1, number("-INF"))',
+     [2, 1, float("-inf"), float("nan"), float("nan")]),
+    ("distinct-values({src})", "(1, true, 0, false)", [0, 1, False, True]),
+    ("distinct-values({src})", '(number("x"), 1, number("x"))', [float("nan"), 1]),
+], ids=["group-by-nan", "order-by-nan", "order-by-nan-descending", "distinct-numbers-booleans",
+        "distinct-nan"])
+def test_atomic_key_identity_parity(template, src, expected, spark, local_eng):
+    """Group by, order by and distinct-values key an atomic by its §4.7
+    encoding on both engines: every NaN is one key, below -INF, and a
+    number is never a boolean."""
+    local = local_eng.run(template.format(src=src))
+    got = Rumble(spark).run(template.format(src=f"parallelize({src}, 2)"))
+    if "order by" in template:
+        assert json.dumps(got) == json.dumps(local) == json.dumps(expected)
+    else:
+        assert canonical(got) == canonical(local) == canonical(expected)
 
 
 @pytest.mark.parametrize("pattern, expected", [

@@ -47,6 +47,7 @@ SEQUENCE_FNS = [
     ("distinct-values((1, 2, 2, 1, 3))", [1, 2, 3]),
     ('distinct-values(("a", "a"))', ["a"]),
     ("distinct-values(())", []),
+    ("distinct-values((1, 1.0, true, 0, false, null, null))", [1, True, 0, False, None]),
     ("reverse((1, 2, 3))", [3, 2, 1]),
     ("reverse(())", []),
 ]
@@ -269,3 +270,38 @@ def test_other_arguments_evaluate_before_the_streamed_one(local_engine, spark, q
     for engine in (local_engine, Rumble(spark)):
         with pytest.raises(DynamicError):
             engine.run(query)
+
+
+def test_distinct_values_of_integers_beyond_the_doubles(local_engine):
+    """An integer no double holds has no §4.7 encoding; it is its own
+    key."""
+    big = "1" + "0" * 400
+    assert local_engine.run(f"distinct-values(({big}, {big}, 1))") == [10**400, 1]
+
+
+#: Each item of ``$x`` compared with itself, and with 1.
+NAN_COMPARE = "for $x in {src} return [$x eq $x, $x ne $x, $x ge 1, $x lt 1, $x eq 1, $x ne 1]"
+
+
+def test_nan_compares_equal_to_nothing(local_engine, spark):
+    """NaN is not equal to any value, itself included, nor ordered
+    against one, on both engines."""
+    src = '(number("x"), 1)'
+    expected = [[False, True, False, False, False, True],
+                [True, False, True, False, True, False]]
+    assert local_engine.run(NAN_COMPARE.format(src=src)) == expected
+    assert Rumble(spark).run(NAN_COMPARE.format(src=f"parallelize({src})")) == expected
+
+
+@pytest.mark.parametrize("fn", ["min", "max"])
+@pytest.mark.parametrize("seq", ['(number("x"), 1, 2)', '(1, number("x"), 2)',
+                                 '(1, 2, number("x"))'], ids=["first", "middle", "last"])
+def test_nan_wins_min_and_max(local_engine, spark, fn, seq):
+    """A NaN anywhere in the sequence is the result, locally and
+    whichever partition holds it on Spark."""
+    import math
+
+    results = [local_engine.run(f"{fn}({seq})")]
+    results += [Rumble(spark).run(f"{fn}(parallelize({seq}, {n}))") for n in (1, 2, 3)]
+    for got in results:
+        assert len(got) == 1 and math.isnan(got[0])

@@ -1,6 +1,7 @@
 """Unit tests for the item model: serialization, effective boolean
 value, comparison, and the §4.7 typed key encoding."""
 import json
+import math
 
 import pytest
 
@@ -130,6 +131,14 @@ class TestValueCompare:
         with pytest.raises(TypeError_):
             items.value_compare("eq", [1, 2], [1])
 
+    @pytest.mark.parametrize("other", [float("nan"), 1, 1.5, float("inf")])
+    def test_nan_equals_nothing(self, other):
+        nan = float("nan")
+        for a, b in [(nan, other), (other, nan)]:
+            for op in ("eq", "lt", "le", "gt", "ge"):
+                assert items.value_compare(op, [a], [b]) == [False], op
+            assert items.value_compare("ne", [a], [b]) == [True]
+
 
 class TestKeyEncoding:
     @pytest.mark.parametrize(
@@ -176,6 +185,11 @@ class TestKeyEncoding:
             for s in ([], [None], [False], [True], ["a"], ["b"])
         ]
         assert order == sorted(order)
+
+    def test_every_nan_is_one_key_below_minus_inf(self):
+        nan = items.encode_key([float("nan")])
+        assert nan == items.encode_key([float("nan")]) == (items.TYPE_NUMBER, "", -math.inf, -1.0)
+        assert items.encode_key([None]) < nan < items.encode_key([-math.inf])
 
     @pytest.mark.parametrize("bad", [[{}], [[]], [1, 2]])
     def test_non_atomic_key_error(self, bad):

@@ -7,9 +7,12 @@ import warnings
 import pytest
 
 from repro.core import Rumble, RumbleConfig
+from repro.jsoniq.errors import TypeError_
 
 #: A FLWOR that runs on Spark and returns no item.
 EMPTY_FLWOR = "for $o in parallelize((1, 2)) where $o gt 5 return $o"
+#: A 300-term ``1 + 1 + ...``: a tree too deep for Spark to pickle.
+CHAIN = " + ".join(["1"] * 300)
 
 
 class TestInputFunctions:
@@ -193,6 +196,28 @@ class TestExpressionPushdown:
         assert len(sc.statusTracker().getJobIdsForGroup(group)) == 1
         local = Rumble(None, RumbleConfig(force_local=True)).run(q)
         assert got == local == [{"flag": True}, {"flag": 3}, {"flag": 5}]
+
+    @pytest.mark.parametrize("q", [
+        f'parallelize(({{"a": {CHAIN}}}, {{"a": 2}})).a',
+        f"parallelize(([{CHAIN}], [2]))[[1]]",
+        f"parallelize(([{CHAIN}], [2]))[]",
+        f"parallelize(({CHAIN}, 2))[$$ gt 1]",
+    ], ids=["lookup", "array-lookup", "unbox", "predicate"])
+    def test_step_closure_leaves_its_target_behind(self, rumble, q):
+        """A step's partition loop ships without its target, whose tree
+        may be too deep to pickle."""
+        assert rumble.compile(q).supports_rdd(rumble._ctx())
+        assert rumble.run(q) == [300, 2]
+
+    @pytest.mark.parametrize("q", ['parallelize(({"a": 1}, 2)).(1)',
+                                   "parallelize(([1], [2]))[[(1, 2)]]"],
+                             ids=["number-key", "two-item-index"])
+    def test_bad_key_or_index_raises_on_the_driver(self, rumble, q):
+        """A key or index is checked before any task runs: its TypeError_
+        reaches the caller as is, not wrapped in a Spark error."""
+        with pytest.raises(TypeError_) as e:
+            rumble.run(q)
+        assert type(e.value) is TypeError_
 
     def test_distinct_values_stays_distributed(self, rumble):
         q = "distinct-values(parallelize((1, 2, 2, 3, 3, 3)))"
