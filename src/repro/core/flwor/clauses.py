@@ -28,7 +28,7 @@ from pyspark.sql.types import StringType, StructField, StructType
 from ..codegen import MAX_DEPTH, Built, Emitter
 from ..dynamic_context import DynamicContext
 from ..items import TYPE_NUMBER, check_orderable_types, dumps_seq
-from ..iterators.base import RuntimeIterator, active_spark
+from ..iterators.base import RuntimeIterator, active_spark, worker_task
 from ..iterators.basic import VarRefIterator
 from ..query_scope import checkpoint
 from .frame import KEY_FIELDS, TupleFrame, local_pass
@@ -137,7 +137,8 @@ class ForClauseIterator(RowLocalClause):
         if isinstance(self.expr, JsonFileIterator):
             df = self.expr.cell_df(outer_ctx, col)
         else:
-            rows = self.expr.get_rdd(outer_ctx).map(lambda item: (dumps_seq([item]),))
+            rows = self.expr.get_rdd(outer_ctx).mapPartitions(worker_task(
+                lambda items: ((dumps_seq([item]),) for item in items)))
             schema = StructType([StructField(col, StringType(), False)])
             # verifySchema would re-check every row in Python; the mapper
             # above guarantees the single string column.
@@ -433,8 +434,7 @@ class CountClauseIterator(ClauseIterator):
         new = tframe.fresh_col(self.var)
         df = tframe.df.select(*tframe.columns.values())
         schema = StructType(list(df.schema.fields) + [StructField(new, StringType(), False)])
-        rows = df.rdd.zipWithIndex().map(
-            lambda pair: tuple(pair[0]) + (dumps_seq([pair[1] + 1]),)
-        )
+        rows = df.rdd.zipWithIndex().mapPartitions(worker_task(
+            lambda pairs: (tuple(row) + (dumps_seq([i + 1]),) for row, i in pairs)))
         df = active_spark().createDataFrame(rows, schema=schema, verifySchema=False)
         return TupleFrame(df, {**tframe.columns, self.var: new}, tframe._fresh)

@@ -28,7 +28,7 @@ from typing import Callable, Iterator
 
 from ..dynamic_context import DynamicContext
 from ..items import Item
-from ..iterators.base import RuntimeIterator
+from ..iterators.base import RuntimeIterator, worker_task
 from .clauses import (ClauseIterator, ForClauseIterator, RowLocalClause, named_rows,
                       peek_names, row_function)
 from .frame import TupleFrame
@@ -102,11 +102,12 @@ class FLWORIterator(RuntimeIterator):
         # tuples come from the initial `for`'s items without a prefix
         # frame, else from the frame's rows, each cell decoded once.
         if tframe is None:
-            return self.clauses[0].expr.get_rdd(ctx).mapPartitions(
-                lambda items: self._return_pass("items")(ctx, items))
+            return self.clauses[0].expr.get_rdd(ctx).mapPartitions(worker_task(
+                lambda items: self._return_pass("items")(ctx, items)))
         names = tuple(tframe.columns)
         rows = tframe.df.select(*[tframe.columns[v] for v in names]).rdd
-        return rows.mapPartitions(lambda part: self._return_pass("cells", names)(ctx, part))
+        return rows.mapPartitions(worker_task(
+            lambda part: self._return_pass("cells", names)(ctx, part)))
 
     # ------------------------------------------------------------------
     # Local path

@@ -41,6 +41,7 @@ from pyspark.sql.types import (
 
 from ..dynamic_context import DynamicContext
 from ..items import TYPE_EMPTY_GREATEST, TYPE_EMPTY_LEAST
+from ..iterators.base import worker_task
 from ..iterators.basic import VarRefIterator
 
 #: Schema of one encoded grouping/ordering key (§4.7): the three native
@@ -148,5 +149,5 @@ def local_pass(tframe: TupleFrame, clauses, outer_ctx: DynamicContext,
                 [pa.array(c, type=f.type) for c, f in zip(cols, arrow_schema)],
                 schema=arrow_schema)
 
-    out.df = tframe.df.select(*in_cols).mapInArrow(run, schema)
+    out.df = tframe.df.select(*in_cols).mapInArrow(worker_task(run), schema)
     return out, key_cols

@@ -260,7 +260,9 @@ def encode_key(seq: Sequence, *, empty_greatest: bool = False, clause: str = "ke
     other number: XQuery's order under ``empty least`` (DESIGN.md §5b).
 
     Raises :class:`NonAtomicKeyError` when the binding is not a single
-    atomic item or the empty sequence (§4.7/§4.8 requirement).
+    atomic item or the empty sequence (§4.7/§4.8 requirement), and
+    :class:`DynamicError` for an integer beyond the double range, which
+    has no double column (DESIGN.md §5b).
     """
     if not seq:
         return (TYPE_EMPTY_GREATEST if empty_greatest else TYPE_EMPTY_LEAST, "", 0.0, 0.0)
@@ -274,7 +276,10 @@ def encode_key(seq: Sequence, *, empty_greatest: bool = False, clause: str = "ke
     if isinstance(item, str):
         return (TYPE_STRING, item, 0.0, 0.0)
     if is_number(item):
-        d = float(item)
+        try:
+            d = float(item)
+        except OverflowError:
+            raise DynamicError(f"{clause}: an integer beyond the double range") from None
         if d != d:
             return (TYPE_NUMBER, "", -math.inf, -1.0)
         return (TYPE_NUMBER, "", d, float(item - int(d)) if isinstance(item, int) else 0.0)

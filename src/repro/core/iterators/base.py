@@ -40,7 +40,9 @@ expression report no RDD support and evaluation stays local.
 """
 from __future__ import annotations
 
+import sys
 import warnings
+import zipimport
 from typing import Callable, Iterator
 
 from ...jsoniq.errors import RumbleError
@@ -59,6 +61,33 @@ def active_spark():
     except ImportError:  # pragma: no cover
         return None
     return SparkSession.getActiveSession()
+
+
+def _drop_zip_importers() -> None:
+    for path, finder in list(sys.path_importer_cache.items()):
+        if isinstance(finder, zipimport.zipimporter):
+            del sys.path_importer_cache[path]
+
+
+def worker_task(fn: Callable) -> Callable:
+    """``fn``, a partition function the engine ships to Spark, as the
+    function one task runs: it drops the ``zipimporter``s from
+    ``sys.path_importer_cache`` before and after ``fn``'s partition.
+    Before each task a PySpark worker calls
+    ``importlib.invalidate_caches()``, which on CPython 3.11 makes every
+    cached ``zipimporter`` re-read its archive's directory (Spark's
+    ``pyspark.zip``, py4j's zip and the jars on the path) before the
+    task's function starts. A worker these tasks ran in has none left
+    to re-read. Imported modules stay in ``sys.modules``; a later
+    import through an archive rebuilds its importer from zipimport's
+    directory cache (DESIGN.md §5b "Python task set-up")."""
+    def task(*args):
+        _drop_zip_importers()
+        try:
+            yield from fn(*args)
+        finally:
+            _drop_zip_importers()
+    return task
 
 
 def spark_enabled(ctx: DynamicContext) -> bool:

@@ -26,7 +26,7 @@ from ...jsoniq.errors import DynamicError, StaticError, TypeError_
 from ..dynamic_context import DynamicContext
 from ..items import (Item, effective_boolean_value, encode_key, is_atomic, is_number, kind,
                      to_integer)
-from .base import RuntimeIterator
+from .base import RuntimeIterator, worker_task
 from .operators import atomic_to_string, to_concat_str
 
 # registry: name -> (min_args, max_args, impl(*sequences) -> list[Item], stream)
@@ -110,7 +110,7 @@ def _distinct_key(item: Item):
         raise TypeError_(f"distinct-values on a {kind(item)}")
     try:
         return encode_key([item])
-    except OverflowError:  # an integer beyond the double range is no double
+    except DynamicError:  # an integer beyond the double range is no double
         return item
 
 
@@ -144,9 +144,9 @@ def _fold(seq, step: Callable, check: Callable) -> list:
     an RDD each partition folds its own items and the driver combines
     the partial results with the same ``step`` (§5.5)."""
     if isinstance(seq, RDD):
-        return _reduce(step, seq.mapPartitions(
+        return _reduce(step, seq.mapPartitions(worker_task(
             lambda items: _reduce(step, map(check, items))
-        ).collect())
+        )).collect())
     return _reduce(step, map(check, seq))
 
 

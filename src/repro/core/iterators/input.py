@@ -43,7 +43,7 @@ from pyspark.sql import DataFrame, functions as F
 from ...jsoniq.errors import DynamicError, TypeError_
 from ..dynamic_context import DynamicContext
 from ..items import Item, is_number, loads, to_integer
-from .base import RuntimeIterator, active_spark, spark_enabled
+from .base import RuntimeIterator, active_spark, spark_enabled, worker_task
 
 
 def _parse_lines(lines) -> Iterator[Item]:
@@ -210,7 +210,7 @@ class JsonFileIterator(RuntimeIterator):
             conf.filesMaxPartitionBytes(), conf.filesOpenCostInBytes()))
 
     def get_rdd(self, ctx: DynamicContext):
-        return self._text_rdd(ctx).mapPartitions(_parse_lines)
+        return self._text_rdd(ctx).mapPartitions(worker_task(_parse_lines))
 
     def cell_df(self, ctx: DynamicContext, col: str) -> DataFrame:
         """One string column ``col`` of serialized single-item sequences,

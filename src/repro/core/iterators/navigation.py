@@ -19,7 +19,7 @@ from ...jsoniq.errors import TypeError_
 from ..codegen import FOCUS, Emitter
 from ..dynamic_context import DynamicContext
 from ..items import effective_boolean_value, is_number, to_integer
-from .base import RuntimeIterator
+from .base import RuntimeIterator, worker_task
 from .basic import LiteralIterator, literal_value
 from .functions import FunctionCallIterator, returns_boolean
 from .operators import BoolOpIterator, ComparisonIterator, NotIterator
@@ -83,7 +83,7 @@ class NavigationStep(RuntimeIterator):
         def run(part):  # a generated f(ctx, items) per partition
             return step.built("rdd", lambda: step._partition_loop(arg, items))(ctx, part)
 
-        return rdd.mapPartitions(run, preservesPartitioning=True)
+        return rdd.mapPartitions(worker_task(run), preservesPartitioning=True)
 
     def _partition_loop(self, arg, items: str):
         """The loop as the generator ``f(ctx, items)`` of one partition."""

@@ -19,6 +19,9 @@ SRC = (
     '{"g": "c", "t": "c"}, {"g": "a", "t": "a", "v": 4, "w": [8, 9]})'
 )
 
+#: A 401-digit integer, beyond the double range.
+BEYOND_DOUBLE = "1" + "0" * 400
+
 QUERIES = [
     "for $o in {src} return $o.v",
     "for $o in {src} where $o.g eq $o.t return $o",
@@ -309,6 +312,11 @@ def test_json_file_decoder_edges(template, edge_path, spark, local_eng):
         # a predicate's filter over the source, and an action on it
         ("{src}[$$.g lt 1]", TypeError_),
         ("sum({src}.g)", TypeError_),
+        # a key beyond the double range has no §4.7 encoding
+        (f"for $o in {{src}} group by $k := {BEYOND_DOUBLE} + count($o.w) return $k",
+         DynamicError),
+        (f"for $o in {{src}} order by {BEYOND_DOUBLE} + count($o.w) return $o.g",
+         DynamicError),
     ],
     ids=["order-nonatomic", "group-multi-item", "tail-after-group",
          "tail-after-order", "tail-only", "tail-object-value-of-two",
@@ -319,7 +327,8 @@ def test_json_file_decoder_edges(template, edge_path, spark, local_eng):
          "parallelize-zero-slices", "parallelize-negative-slices",
          "parallelize-two-slice-counts", "double-minus-on-string",
          "some-lt-across-families", "every-gt-across-families",
-         "predicate-lt-across-families", "sum-of-strings"],
+         "predicate-lt-across-families", "sum-of-strings",
+         "group-key-beyond-double", "order-key-beyond-double"],
 )
 def test_error_parity(template, error, spark, local_eng, edge_path):
     """Both paths raise the same error class for illegal keys, operands

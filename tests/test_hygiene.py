@@ -1,7 +1,9 @@
 """Static hygiene of ``src/repro``, checked with the standard ``ast``
 module: no import goes unused, and no module-level private name is
 left behind that its module never reads. Both catch what a deletion
-leaves over."""
+leaves over. Every partition function the engine ships to Spark is
+built by ``worker_task``, so no Spark path pays PySpark's per-task
+archive re-read again."""
 import ast
 from pathlib import Path
 
@@ -11,6 +13,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
 MODULES = sorted(SRC.rglob("*.py"))
 #: A package's ``__init__`` imports are its re-exports.
 IMPORTERS = [p for p in MODULES if p.name != "__init__.py"]
+#: The RDD and DataFrame calls that run a Python function in a Spark task.
+SPARK_MAPS = {"mapPartitions", "mapInArrow", "map", "flatMap"}
 
 
 def _ids(path: Path) -> str:
@@ -52,3 +56,17 @@ def test_every_private_name_is_read(path):
     private = [n for n in defined if n.startswith("_") and not n.startswith("__")]
     read = _read_names(tree)
     assert [n for n in private if n not in read] == []
+
+
+@pytest.mark.parametrize("path", sorted((SRC / "core").rglob("*.py")), ids=_ids)
+def test_every_spark_function_is_a_worker_task(path):
+    """Each ``.mapPartitions(``, ``.mapInArrow(``, ``.map(`` and
+    ``.flatMap(`` call in the engine gets ``worker_task(...)`` as its
+    function."""
+    bare = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in SPARK_MAPS
+            and not (node.args and isinstance(node.args[0], ast.Call)
+                     and isinstance(node.args[0].func, ast.Name)
+                     and node.args[0].func.id == "worker_task")]
+    assert bare == []

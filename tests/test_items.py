@@ -7,7 +7,7 @@ import pytest
 
 from repro import synth_data
 from repro.core import items
-from repro.jsoniq.errors import NonAtomicKeyError, TypeError_
+from repro.jsoniq.errors import DynamicError, NonAtomicKeyError, TypeError_
 
 
 class TestSequenceSerialization:
@@ -190,6 +190,16 @@ class TestKeyEncoding:
         nan = items.encode_key([float("nan")])
         assert nan == items.encode_key([float("nan")]) == (items.TYPE_NUMBER, "", -math.inf, -1.0)
         assert items.encode_key([None]) < nan < items.encode_key([-math.inf])
+
+    @pytest.mark.parametrize("n", [10**400, -(10**400), 10**5000],
+                             ids=["401-digits", "negative", "5001-digits"])
+    def test_integer_beyond_double_range_is_a_dynamic_error(self, n):
+        with pytest.raises(DynamicError) as e:
+            items.encode_key([n], clause="group-by key")
+        assert type(e.value) is DynamicError
+        assert "group-by key" in str(e.value)
+        top = int(math.ldexp(1.0 - 2.0**-53, 1024))  # the largest finite double
+        assert items.encode_key([top]) == (items.TYPE_NUMBER, "", float(top), 0.0)
 
     @pytest.mark.parametrize("bad", [[{}], [[]], [1, 2]])
     def test_non_atomic_key_error(self, bad):

@@ -1,12 +1,17 @@
 """RDD execution path tests (paper §4.1, §5.6–§5.7): expression
 push-down to Spark transformations, actions for aggregations, seamless
 local/RDD switching, input functions."""
+import importlib
 import json
+import sys
 import warnings
+import zipfile
+import zipimport
 
 import pytest
 
 from repro.core import Rumble, RumbleConfig
+from repro.core.iterators.base import worker_task
 from repro.jsoniq.errors import TypeError_
 
 #: A FLWOR that runs on Spark and returns no item.
@@ -321,3 +326,49 @@ class TestSeamlessSwitching:
     def test_run_cap(self, rumble):
         got = rumble.run("parallelize(1 to 1000)", cap=7)
         assert len(got) == 7
+
+
+def _zip_importer_keys() -> list[str]:
+    return [k for k, f in sys.path_importer_cache.items() if isinstance(f, zipimport.zipimporter)]
+
+
+class TestWorkerTask:
+    """A partition function the engine ships leaves its Python worker
+    without ``zipimporter``s, which PySpark's per-task
+    ``importlib.invalidate_caches()`` would make re-read their archives."""
+
+    def test_drops_zip_importers_and_imports_still_work(self, tmp_path):
+        archive = tmp_path / "zmods.zip"
+        with zipfile.ZipFile(archive, "w") as z:
+            z.writestr("repro_zmod_a.py", "A = 1\n")
+            z.writestr("repro_zmod_b.py", "B = 2\n")
+        saved_path, saved_cache = list(sys.path), dict(sys.path_importer_cache)
+        sys.path.insert(0, str(archive))
+        try:
+            assert importlib.import_module("repro_zmod_a").A == 1
+            assert str(archive) in _zip_importer_keys()
+            seen = []
+
+            def keys_then_items(part):
+                seen.append(_zip_importer_keys())
+                return part
+
+            assert list(worker_task(keys_then_items)([1, 2])) == [1, 2]
+            assert seen == [[]]
+            assert _zip_importer_keys() == []
+            assert importlib.import_module("repro_zmod_b").B == 2
+        finally:
+            sys.path[:] = saved_path
+            sys.path_importer_cache.clear()
+            sys.path_importer_cache.update(saved_cache)
+            for name in ("repro_zmod_a", "repro_zmod_b"):
+                sys.modules.pop(name, None)
+
+    def test_spark_tasks_leave_no_zip_importers(self, rumble):
+        rdd = rumble.run_rdd("for $x in parallelize(1 to 8, 2) return $x")
+        got = rdd.mapPartitions(lambda it: [list(it), [
+            k for k, f in sys.path_importer_cache.items()
+            if isinstance(f, zipimport.zipimporter)]]).collect()
+        items, keys = got[0::2], got[1::2]
+        assert sorted(x for part in items for x in part) == list(range(1, 9))
+        assert keys == [[], []]
