@@ -31,7 +31,7 @@ from ..items import TYPE_NUMBER, check_orderable_types, dumps_seq
 from ..iterators.base import RuntimeIterator, active_spark, worker_task
 from ..iterators.basic import VarRefIterator
 from ..query_scope import checkpoint
-from .frame import KEY_FIELDS, TupleFrame, local_pass
+from .frame import KEY_FIELDS, TupleFrame, key_struct, local_pass, sql_safe
 
 LocalTuple = dict  # var name -> sequence of items
 
@@ -133,7 +133,7 @@ class ForClauseIterator(RowLocalClause):
         line already is the item's JSON."""
         from ..iterators.input import JsonFileIterator
 
-        col = "c0_" + "".join(ch if ch.isalnum() else "_" for ch in self.var)
+        col = "c0_" + sql_safe(self.var)
         if isinstance(self.expr, JsonFileIterator):
             df = self.expr.cell_df(outer_ctx, col)
         else:
@@ -316,8 +316,9 @@ class GroupByClauseIterator(ClauseIterator):
     def stream_df(self, tframe, key_cols):
         # The pass has bound the := keys like lets and encoded every key
         # into the typed columns of §4.7 (or a group by before kept them).
+        # Two keys over one group-by output share its key column.
         key_vars = [v for v, _ in self.keys]
-        group_cols = [F.col(f"{k}.{f}").alias(f"{k}_{f}") for k in key_cols for f in KEY_FIELDS]
+        group_cols = dict.fromkeys(f"{k}.{f} AS {k}_{f}" for k in key_cols for f in KEY_FIELDS)
 
         # Aggregate. A materialized variable's cells are merged in the
         # JVM: the JSON arrays' bodies, the empty ones dropped, joined by
@@ -330,10 +331,9 @@ class GroupByClauseIterator(ClauseIterator):
         aggs, cells, keys = [], {}, {}
         for var, k in zip(key_vars, key_cols):
             if var in tframe.columns:
-                first = tframe.fresh_col(var + "_first")
-                aggs.append(F.first(F.col(tframe.columns[var])).alias(first))
-                cells[var] = F.col(first)
-            keys[var] = F.struct(*[F.col(f"{k}_{f}").alias(f) for f in KEY_FIELDS])
+                cells[var] = tframe.fresh_col(var + "_first")
+                aggs.append(f"first({tframe.columns[var]}) AS {cells[var]}")
+            keys[var] = key_struct({f: f"{k}_{f}" for f in KEY_FIELDS})
         for var, col in tframe.columns.items():
             if var in key_vars:
                 continue
@@ -342,23 +342,20 @@ class GroupByClauseIterator(ClauseIterator):
                 continue
             out = tframe.fresh_col(var + "_agg")
             if mode == "count":
-                aggs.append(F.count(F.col(col)).alias(out))
-                cells[var] = F.concat(F.lit("["), F.col(out).cast("string"), F.lit("]"))
-                keys[var] = F.struct(
-                    F.lit(TYPE_NUMBER).alias("code"), F.lit("").alias("s"),
-                    F.col(out).cast("double").alias("d"), F.lit(0.0).alias("r"))
+                aggs.append(f"count({col}) AS {out}")
+                cells[var] = f"concat('[', CAST({out} AS STRING), ']')"
+                keys[var] = key_struct({"code": str(TYPE_NUMBER), "s": "''",
+                                        "d": f"CAST({out} AS DOUBLE)", "r": "0D"})
             else:
-                bodies = F.transform(F.collect_list(F.col(col)),
-                                     lambda c: c.substr(F.lit(2), F.length(c) - 2))
-                aggs.append(F.concat(
-                    F.lit("["), F.array_join(F.filter(bodies, lambda b: b != ""), ","),
-                    F.lit("]")).alias(out))
-                cells[var] = F.col(out)
+                aggs.append(
+                    f"concat('[', array_join(filter(transform(collect_list({col}), "
+                    f"c -> substr(c, 2, length(c) - 2)), b -> b != ''), ','), ']') AS {out}")
+                cells[var] = out
         out_columns = {var: tframe.fresh_col(var) for var in cells}
         key_columns = {var: tframe.fresh_col(var + "_key") for var in keys}
-        grouped = tframe.df.groupBy(*group_cols).agg(*aggs).select(
-            *[c.alias(out_columns[v]) for v, c in cells.items()],
-            *[c.alias(key_columns[v]) for v, c in keys.items()])
+        grouped = tframe.df.groupBy(*map(F.expr, group_cols)).agg(*map(F.expr, aggs)).selectExpr(
+            *[f"{c} AS {out_columns[v]}" for v, c in cells.items()],
+            *[f"{c} AS {key_columns[v]}" for v, c in keys.items()])
         return TupleFrame(grouped, out_columns, tframe._fresh, key_columns)
 
 
@@ -399,20 +396,17 @@ class OrderByClauseIterator(ClauseIterator):
         # already a total order, with no sampling job and no shuffle.
         codes = Observation()
         df = checkpoint(tframe.df.observe(
-            codes,
-            *[F.collect_set(F.col(f"{k}.code")).alias(f"cs{i}") for i, k in enumerate(key_cols)],
-        ))
+            codes, *[F.expr(f"collect_set({k}.code) AS cs{i}") for i, k in enumerate(key_cols)]))
         seen = codes.get
         for i in range(len(key_cols)):
             check_orderable_types(set(seen[f"cs{i}"]), f"order-by key #{i + 1}")
 
-        order = []
-        for kcol, (_, asc, _) in zip(key_cols, self.specs):
-            for f in KEY_FIELDS:
-                c = F.col(f"{kcol}.{f}")
-                order.append(c.asc() if asc else c.desc())
+        # The key columns stay: every step after this one reads its
+        # columns by name.
+        order = [(F.asc if asc else F.desc)(f"{k}.{f}")
+                 for k, (_, asc, _) in zip(key_cols, self.specs) for f in KEY_FIELDS]
         one = df._jdf.queryExecution().logical().rdd().getNumPartitions() <= 1
-        tframe.df = (df.sortWithinPartitions if one else df.orderBy)(*order).drop(*key_cols)
+        tframe.df = (df.sortWithinPartitions if one else df.orderBy)(*order)
         return tframe
 
 

@@ -59,6 +59,17 @@ KEY_STRUCT = StructType(
 KEY_FIELDS = tuple(f.name for f in KEY_STRUCT.fields)  # what a key groups and sorts by
 
 
+def key_struct(fields: dict[str, str]) -> str:
+    """The SQL text of a ``KEY_STRUCT`` from the SQL text of its fields."""
+    return "named_struct(" + ", ".join(f"'{f}', {fields[f]}" for f in KEY_FIELDS) + ")"
+
+
+def sql_safe(hint: str) -> str:
+    """``hint`` with every character Spark SQL would need backticks
+    for replaced by ``_``: column names are written into SQL text."""
+    return "".join(ch if ch.isascii() and ch.isalnum() else "_" for ch in hint)
+
+
 @dataclass
 class TupleFrame:
     """A tuple stream in DataFrame form."""
@@ -73,9 +84,7 @@ class TupleFrame:
 
     def fresh_col(self, hint: str = "v") -> str:
         self._fresh += 1
-        # Strip characters Spark SQL would need backticks for.
-        safe = "".join(ch if ch.isalnum() else "_" for ch in hint)
-        return f"c{self._fresh}_{safe}"
+        return f"c{self._fresh}_{sql_safe(hint)}"
 
 
 def segment_rows(clauses, names: list[str], out_vars: list[str], keys):
@@ -112,18 +121,20 @@ def local_pass(tframe: TupleFrame, clauses, outer_ctx: DynamicContext,
 
     With no clauses and every key a variable with a column in
     ``tframe.keys`` (a group-by's output), or no key, no pass runs: the
-    key columns are built from those columns in the JVM."""
+    key columns are those columns, or built from them in the JVM."""
     names = [e.name if isinstance(e, VarRefIterator) else None for e, _, _ in keys]
     if not clauses and all(n in tframe.keys for n in names):
         out = replace(tframe)
-        key_cols = [out.fresh_col(f"key{i}") for i in range(len(keys))]
-        keyed = {}
-        for k, n, (_, empty_greatest, _) in zip(key_cols, names, keys):
-            key = keyed[k] = F.col(tframe.keys[n])
+        key_cols, keyed = [], {}
+        for n, (_, empty_greatest, _) in zip(names, keys):
+            k = tframe.keys[n]
             if empty_greatest:  # only the empty sequence's code depends on it
-                code = key.getField("code")
-                keyed[k] = key.withField("code", F.when(
-                    code == TYPE_EMPTY_LEAST, TYPE_EMPTY_GREATEST).otherwise(code))
+                fields = {f: f"{k}.{f}" for f in KEY_FIELDS}
+                fields["code"] = (f"IF({k}.code = {TYPE_EMPTY_LEAST}, "
+                                  f"{TYPE_EMPTY_GREATEST}, {k}.code)")
+                k = out.fresh_col("key")
+                keyed[k] = F.expr(key_struct(fields))
+            key_cols.append(k)
         if keyed:
             out.df = out.df.withColumns(keyed)
         return out, key_cols

@@ -38,7 +38,7 @@ import math
 import os
 from typing import Iterator
 
-from pyspark.sql import DataFrame, functions as F
+from pyspark.sql import DataFrame
 
 from ...jsoniq.errors import DynamicError, TypeError_
 from ..dynamic_context import DynamicContext
@@ -57,6 +57,8 @@ def _parse_lines(lines) -> Iterator[Item]:
 #: exactly the lines :func:`_parse_lines` does.
 WHITESPACE = ("\t\n\x0b\x0c\r\x1c\x1d\x1e\x1f \x85\xa0\u1680\u2000\u2001\u2002\u2003"
               "\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u2028\u2029\u202f\u205f\u3000")
+#: A JVM line trimmed of :data:`WHITESPACE`, as SQL text.
+_LINE = "btrim(value, '" + "".join(f"\\u{ord(ch):04x}" for ch in WHITESPACE) + "')"
 
 
 def partition_count(it: RuntimeIterator | None, ctx: DynamicContext, what: str) -> int | None:
@@ -224,12 +226,11 @@ class JsonFileIterator(RuntimeIterator):
         spark = active_spark()
         lines = spark._jsparkSession.createDataset(
             self._text_rdd(ctx)._jrdd.rdd(), spark._jvm.org.apache.spark.sql.Encoders.STRING())
-        line = F.btrim(F.col("value"), F.lit(WHITESPACE))
-        cell = F.concat(F.lit("["), line, F.lit("]"))
-        return DataFrame(lines.toDF(), spark).where(line != "").select(
-            F.when(F.json_array_length(cell) > 1, F.raise_error(F.concat(
-                F.lit("JSONDecodeError: more than one JSON value on a json-file() line: "),
-                line))).otherwise(cell).alias(col))
+        cell = f"concat('[', {_LINE}, ']')"
+        return DataFrame(lines.toDF(), spark).where(f"{_LINE} != ''").selectExpr(
+            f"CASE WHEN json_array_length({cell}) > 1 THEN raise_error(concat("
+            f"'JSONDecodeError: more than one JSON value on a json-file() line: ', {_LINE})) "
+            f"ELSE {cell} END AS {col}")
 
     def _iterate_local(self, ctx: DynamicContext) -> Iterator[Item]:
         path = self._path(ctx)

@@ -75,12 +75,14 @@ def runners_for(system: str, spark: SparkSession, path: str):
 
 def warm_up(spark: SparkSession, workdir: str,
             systems: tuple[str, ...] = SYSTEMS) -> None:
-    """Run one tiny query per system so JVM code paths and Python
-    workers are warm — the paper measures end-to-end runtimes of warm
-    engines on a running cluster, not JVM start-up."""
+    """Run every query of each system once on a tiny file, so that JVM
+    code paths (a first shuffle, a first checkpoint) and Python workers
+    are warm: the paper measures end-to-end runtimes of warm engines on
+    a running cluster, not JVM start-up."""
     path = confusion_file(workdir, 1_000)
     for system in systems:
-        runners_for(system, spark, path)["filter"]()
+        for run in runners_for(system, spark, path).values():
+            run()
 
 
 def t1_local_engines(spark: SparkSession, workdir: str,

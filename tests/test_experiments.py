@@ -32,6 +32,14 @@ class TestDatasetCaching:
 
 
 class TestT1:
+    def test_warm_up_runs_every_query_of_every_system_once(self, workdir, monkeypatch):
+        ran = []
+        queries = ("filter", "group", "sort")
+        monkeypatch.setattr(X, "runners_for", lambda system, spark, path: {
+            q: lambda q=q: ran.append((system, q)) for q in queries})
+        X.warm_up(None, workdir)
+        assert sorted(ran) == sorted((s, q) for s in X.SYSTEMS for q in queries)
+
     def test_t1_runs_all_cells(self, spark, workdir):
         rows = X.t1_local_engines(spark, workdir, sizes=(500,),
                                   queries=("filter", "group"))

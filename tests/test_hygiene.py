@@ -3,7 +3,8 @@ module: no import goes unused, and no module-level private name is
 left behind that its module never reads. Both catch what a deletion
 leaves over. Every partition function the engine ships to Spark is
 built by ``worker_task``, so no Spark path pays PySpark's per-task
-archive re-read again."""
+archive re-read again. No Spark step is built through ``F.col`` or a
+``Column`` method, which PySpark wraps in a call-site capture."""
 import ast
 from pathlib import Path
 
@@ -15,6 +16,9 @@ MODULES = sorted(SRC.rglob("*.py"))
 IMPORTERS = [p for p in MODULES if p.name != "__init__.py"]
 #: The RDD and DataFrame calls that run a Python function in a Spark task.
 SPARK_MAPS = {"mapPartitions", "mapInArrow", "map", "flatMap"}
+#: ``Column`` methods, each wrapped by PySpark in a call-site capture.
+COLUMN_METHODS = {"alias", "cast", "getField", "withField", "otherwise", "asc", "desc"}
+CORE = sorted((SRC / "core").rglob("*.py"))
 
 
 def _ids(path: Path) -> str:
@@ -58,7 +62,7 @@ def test_every_private_name_is_read(path):
     assert [n for n in private if n not in read] == []
 
 
-@pytest.mark.parametrize("path", sorted((SRC / "core").rglob("*.py")), ids=_ids)
+@pytest.mark.parametrize("path", CORE, ids=_ids)
 def test_every_spark_function_is_a_worker_task(path):
     """Each ``.mapPartitions(``, ``.mapInArrow(``, ``.map(`` and
     ``.flatMap(`` call in the engine gets ``worker_task(...)`` as its
@@ -70,3 +74,18 @@ def test_every_spark_function_is_a_worker_task(path):
                      and isinstance(node.args[0].func, ast.Name)
                      and node.args[0].func.id == "worker_task")]
     assert bare == []
+
+
+@pytest.mark.parametrize("path", CORE, ids=_ids)
+def test_no_spark_step_is_built_from_column_methods(path):
+    """The engine writes Spark SQL steps as SQL text (``selectExpr``,
+    ``F.expr``) and column-name strings: no ``F.col(`` and no call of a
+    ``Column`` method. ``F.asc`` and ``F.desc`` over a name are
+    functions, not methods, and are not wrapped."""
+    def wrapped(node) -> bool:
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+            return False
+        on_functions = isinstance(node.func.value, ast.Name) and node.func.value.id == "F"
+        return node.func.attr == "col" if on_functions else node.func.attr in COLUMN_METHODS
+
+    assert [node.lineno for node in ast.walk(ast.parse(path.read_text())) if wrapped(node)] == []

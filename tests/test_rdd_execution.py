@@ -3,7 +3,10 @@ push-down to Spark transformations, actions for aggregations, seamless
 local/RDD switching, input functions."""
 import importlib
 import json
+import socket
+import statistics
 import sys
+import time
 import warnings
 import zipfile
 import zipimport
@@ -11,7 +14,7 @@ import zipimport
 import pytest
 
 from repro.core import Rumble, RumbleConfig
-from repro.core.iterators.base import worker_task
+from repro.core.iterators.base import quick_ack, worker_task
 from repro.jsoniq.errors import TypeError_
 
 #: A FLWOR that runs on Spark and returns no item.
@@ -335,7 +338,51 @@ def _zip_importer_keys() -> list[str]:
 class TestWorkerTask:
     """A partition function the engine ships leaves its Python worker
     without ``zipimporter``s, which PySpark's per-task
-    ``importlib.invalidate_caches()`` would make re-read their archives."""
+    ``importlib.invalidate_caches()`` would make re-read their archives,
+    and gets its rows without waiting for the worker's delayed ACK."""
+
+    @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="TCP_QUICKACK is Linux's")
+    def test_quick_ack_releases_a_write_held_by_nagle(self):
+        with socket.create_server(("127.0.0.1", 0)) as server, \
+                socket.create_connection(server.getsockname()) as client:
+            conn, _ = server.accept()
+            with conn:
+                # An exchange puts the client in the mode where its
+                # kernel delays each ACK (up to 40 ms).
+                for _ in range(3):
+                    conn.sendall(b"x")
+                    client.recv(1)
+                    client.sendall(b"y")
+                    conn.recv(1)
+                # Nagle holds the second small write until the first is
+                # acknowledged.
+                conn.sendall(b"a")
+                conn.sendall(b"b")
+                assert client.recv(1) == b"a"
+                start = time.perf_counter()
+                quick_ack()
+                assert client.recv(1) == b"b"
+                assert time.perf_counter() - start < 0.02
+
+    def test_first_row_arrives_without_delayed_ack(self, spark):
+        # Jobs back to back, one task per core. A task that reads its
+        # whole partition leaves its worker to the next task, whose
+        # header that worker's kernel then acknowledges late.
+        def first_row_ms(part):
+            rows = iter(part)
+            start = time.perf_counter()
+            next(rows, None)
+            ms = (time.perf_counter() - start) * 1000
+            for _ in rows:
+                pass
+            yield ms
+
+        sc = spark.sparkContext
+        n = sc.defaultParallelism
+        jobs = [sc.parallelize(list(range(2 * n)), n).mapPartitions(worker_task(first_row_ms))
+                .collect() for _ in range(6)]
+        ms = [m for job in jobs[1:] for m in job]
+        assert statistics.median(ms) < 20, ms
 
     def test_drops_zip_importers_and_imports_still_work(self, tmp_path):
         archive = tmp_path / "zmods.zip"
@@ -372,3 +419,45 @@ class TestWorkerTask:
         items, keys = got[0::2], got[1::2]
         assert sorted(x for part in items for x in part) == list(range(1, 9))
         assert keys == [[], []]
+
+
+class TestPlanBuilding:
+    """The engine writes its Spark SQL steps as SQL text and column
+    names. PySpark wraps ``F.col`` and every ``Column`` method in a
+    call-site capture: py4j round trips, a stack walk and an IPython
+    import on the driver, for every call."""
+
+    def test_spark_queries_capture_no_call_site(self, rumble, confusion_path, monkeypatch):
+        from pyspark.errors import utils
+
+        calls = []
+        capture = utils._capture_call_site
+        monkeypatch.setattr(utils, "_capture_call_site",
+                            lambda depth: calls.append(depth) or capture(depth))
+        p = confusion_path
+        queries = [
+            f'for $i in json-file("{p}") where $i.guess eq $i.target '
+            f'group by $t := $i.target order by count($i) descending '
+            f'return {{"target": $t, "n": count($i)}}',
+            f'for $i in json-file("{p}") group by $t := $i.target '
+            f'order by $t descending empty greatest return $t',
+            f'for $i in json-file("{p}") count $c where $c le 3 return $c',
+            f'for $i in json-file("{p}") group by $t := $i.target, $g := $i.guess '
+            f'group by $t return count($g)',
+            f'for $i in json-file("{p}", 2) group by $g := $i.guess return count($i)',
+        ]
+        assert all(rumble.run(q) for q in queries)
+        assert calls == []
+
+    @pytest.mark.parametrize("tail", [
+        # Two keys over one group-by output group by its key column once.
+        "group by $k := $o.g group by $k, $k return [$k, count($o)]",
+        "group by $k := $o.h order by $k empty greatest, $k descending empty greatest "
+        "return [$k, count($o)]",
+        # A non-ASCII name still makes a plain SQL identifier.
+        "let $é := $o.g group by $é return [$é, count($o)]",
+    ])
+    def test_sql_text_steps_match_local(self, rumble, local_engine, tail):
+        q = ('for $o in parallelize(({"g": 1, "h": 2}, {"g": 2, "h": 2}, {"g": 1, "h": 3}, '
+             '{"g": 1})) ' + tail)
+        assert sorted(map(json.dumps, rumble.run(q))) == sorted(map(json.dumps, local_engine.run(q)))
