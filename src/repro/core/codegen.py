@@ -18,11 +18,11 @@ expression a few statements over lists, the sequences of items.
   variable names, the nodes and helpers the code calls. Query text
   enters the source only through it.
 
-The source of a function depends only on the tree it comes from, so
-the compiled factory is cached per process by that text: a Spark
-worker runs ``compile()`` once per distinct function, however many
-partitions rebuild it. Trees pickle without their functions
-(:class:`Built`), and each partition rebuilds them from the tree.
+A generated function (:class:`Generated`) pickles as its source and
+constants, so a Spark closure ships the code, not the tree it came
+from; a node in the constant table still ships its subtree. The
+compiled factory is cached per process by the source text: a Spark
+worker runs ``compile()`` once per distinct function.
 
 A node that needs a :class:`~repro.core.dynamic_context.DynamicContext`
 (a sequence source, a node with a source below) gets one built from the
@@ -152,10 +152,22 @@ class Emitter:
             self.line(f"{ctx}.context_item, {ctx}.has_context_item = {env[FOCUS]}, True")
         return ctx
 
-    def function(self, params: str) -> Callable:
+    def function(self, params: str) -> Generated:
         """The function of these lines, with ``params``."""
-        make = _factory("\n".join([f"def f({params}):", *self.lines]), len(self.consts))
-        return make(*self.consts)
+        return Generated("\n".join([f"def f({params}):", *self.lines]), tuple(self.consts))
+
+
+class Generated(functools.partial):
+    """A generated function that pickles as its source and constants,
+    compiled once per process (:func:`_factory`)."""
+
+    def __new__(cls, source: str, consts: tuple):
+        self = super().__new__(cls, _factory(source, len(consts))(*consts))
+        self.source, self.consts = source, consts
+        return self
+
+    def __reduce__(self):
+        return Generated, (self.source, self.consts)
 
 
 @functools.lru_cache(maxsize=512)
@@ -187,19 +199,17 @@ def evaluator(node) -> Callable:
 
 
 class Built:
-    """Keeps the functions generated for an object out of its pickled
-    state, so that each process builds its own: an expression's
-    evaluator, and any other function keyed by what it was built from."""
+    """Caches the functions generated for an object: an expression's
+    evaluator, or any other function keyed by what it was built from.
+    A node a shipped function holds as a constant ships without them."""
 
     _built: dict | None = None
 
     def built(self, key, build: Callable[[], Callable]) -> Callable:
-        if self._built is None:
-            self._built = {}
-        fn = self._built.get(key)
-        if fn is None:
-            fn = self._built[key] = build()
-        return fn
+        cache = self.__dict__.setdefault("_built", {})
+        if key not in cache:
+            cache[key] = build()
+        return cache[key]
 
     def __getstate__(self) -> dict:
         return {k: v for k, v in self.__dict__.items() if k != "_built"}

@@ -211,8 +211,8 @@ def row_function(head: Callable[[Emitter], dict[str, str]], clauses: list[Clause
     variables, the row-local ``clauses`` follow (a ``for`` nests a
     loop, a ``let`` binds a local, a ``where`` continues), and ``sink``
     yields what each resulting tuple gives. ``ctx`` holds the variables
-    bound outside the FLWOR. Build it where it runs: the tree pickles
-    without it."""
+    bound outside the FLWOR. A Spark pass ships the function itself,
+    built on the driver (:class:`~repro.core.codegen.Generated`)."""
     b = Emitter()
     env = head(b)
     for i, clause in enumerate(clauses):

@@ -102,12 +102,12 @@ class FLWORIterator(RuntimeIterator):
         # tuples come from the initial `for`'s items without a prefix
         # frame, else from the frame's rows, each cell decoded once.
         if tframe is None:
-            return self.clauses[0].expr.get_rdd(ctx).mapPartitions(worker_task(
-                lambda items: self._return_pass("items")(ctx, items)))
-        names = tuple(tframe.columns)
-        rows = tframe.df.select(*[tframe.columns[v] for v in names]).rdd
-        return rows.mapPartitions(worker_task(
-            lambda part: self._return_pass("cells", names)(ctx, part)))
+            rows, run = self.clauses[0].expr.get_rdd(ctx), self._return_pass("items")
+        else:
+            names = tuple(tframe.columns)
+            rows = tframe.df.select(*[tframe.columns[v] for v in names]).rdd
+            run = self._return_pass("cells", names)
+        return rows.mapPartitions(worker_task(lambda part: run(ctx, part)))
 
     # ------------------------------------------------------------------
     # Local path

@@ -149,10 +149,9 @@ def local_pass(tframe: TupleFrame, clauses, outer_ctx: DynamicContext,
         + [StructField(k, KEY_STRUCT, False) for k in key_cols])
     arrow_schema = to_arrow_schema(schema)
     in_cols = list(tframe.columns.values())
-    names, out_vars = list(tframe.columns), list(out.columns)
+    segment = segment_rows(clauses, list(tframe.columns), list(out.columns), keys)
 
     def run(batches):
-        segment = segment_rows(clauses, names, out_vars, keys)
         for batch in batches:
             rows = segment(outer_ctx, zip(*[batch.column(c).to_pylist() for c in in_cols]))
             cols = list(zip(*rows)) or [()] * len(arrow_schema)

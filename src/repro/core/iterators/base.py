@@ -4,8 +4,7 @@ Expression runtime iterators return *items* and expose two APIs between
 which the engine switches seamlessly:
 
 * **local execution** — one ``ctx -> list`` evaluator per tree root,
-  generated once per tree and pass (per partition on executors, per
-  query on the driver) and called by :meth:`materialize`. Every node
+  generated on first use and called by :meth:`materialize`. Every node
   but a source implements :meth:`_emit`, the source fragment of its
   evaluation, and the fragments of a tree are one Python function
   (:mod:`repro.core.codegen`). *Sequence sources* (``is_source``:
@@ -31,10 +30,11 @@ argument's RDD when the argument is one, and runs a Spark action
 instead of streaming (§5.5 last paragraph).
 
 Iterators are pure picklable objects: they never hold a SparkSession,
-and the generated functions are left out of the pickled state.
-``get_rdd`` fetches the active session at call time (driver only); on
-executors — where closures carrying nested iterators are evaluated via
-the local API, because "Spark jobs do not nest" (§5.6) —
+and the generated functions are left out of the pickled state; a Spark
+closure ships the function built on the driver, with only the nodes in
+its constant table. ``get_rdd`` fetches the active session at call time
+(driver only); on executors — where those nodes are evaluated via the
+local API, because "Spark jobs do not nest" (§5.6) —
 :func:`spark_enabled` is False, so the sources below every RDD-backed
 expression report no RDD support and evaluation stays local.
 """
@@ -158,7 +158,7 @@ class RuntimeIterator(codegen.Built):
 
     def evaluator(self) -> Evaluator:
         """The generated ``ctx -> list`` function of this iterator,
-        built on first use and kept until the tree is pickled."""
+        built on first use and kept on the node, but not in its pickle."""
         return self.built("eval", lambda: codegen.evaluator(self))
 
     def _iterate_local(self, ctx: DynamicContext) -> Iterator[Item]:

@@ -8,12 +8,10 @@ loop over its target's items that hands each item it gives to a sink
 list and the sink appends to a list. These are the expressions Rumble
 pushes down to Spark: when the target sequence is physically an RDD of
 items, each partition runs the same loop as a generator
-(``mapPartitions``), in a closure that carries the step without its
-target, evaluated on executors via the local API (§5.6).
+(``mapPartitions``): the closure carries the loop, built on the driver
+(§5.6).
 """
 from __future__ import annotations
-
-import copy
 
 from ...jsoniq.errors import TypeError_
 from ..codegen import FOCUS, Emitter
@@ -77,20 +75,12 @@ class NavigationStep(RuntimeIterator):
         # target's RDD is built; the loop reads it as a constant.
         arg = None if self.check is None else self.check(self.arg.materialize(ctx))
         items, rdd = self._over("items", self.target.get_rdd(ctx))
-        step = copy.copy(self)  # the closure ships the step without its target
-        step.target, step.children = None, []
-
-        def run(part):  # a generated f(ctx, items) per partition
-            return step.built("rdd", lambda: step._partition_loop(arg, items))(ctx, part)
-
-        return rdd.mapPartitions(worker_task(run), preservesPartitioning=True)
-
-    def _partition_loop(self, arg, items: str):
-        """The loop as the generator ``f(ctx, items)`` of one partition."""
-        b = Emitter()
+        b = Emitter()  # the loop as the generator f(ctx, items) of a partition
         self._loop(b, {}, None if self.check is None else b.const(arg), items,
                    lambda x, each=False: b.line(f"yield {'from ' if each else ''}{x}"))
-        return b.function("ctx, items")
+        loop = b.function("ctx, items")
+        return rdd.mapPartitions(worker_task(lambda part: loop(ctx, part)),
+                                 preservesPartitioning=True)
 
 
 def _key_string(seq) -> str:

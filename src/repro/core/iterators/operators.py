@@ -39,6 +39,17 @@ _ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul,
                "div": _div, "idiv": _idiv, "mod": _mod}
 
 
+def _arithmetic(op: str, a, b):
+    if not a or not b:
+        return []
+    if len(a) > 1 or len(b) > 1:
+        raise TypeError_(f"arithmetic '{op}' requires singleton operands")
+    x, y = a[0], b[0]
+    if not is_number(x) or not is_number(y):
+        raise TypeError_(f"arithmetic '{op}' on {kind(x)} and {kind(y)}")
+    return [_ARITHMETIC[op](x, y)]
+
+
 class ArithmeticIterator(RuntimeIterator):
     """``+ - * div idiv mod`` on singleton numbers; an empty operand
     propagates to the empty sequence (XQuery/JSONiq semantics)."""
@@ -52,18 +63,7 @@ class ArithmeticIterator(RuntimeIterator):
             raise DynamicError(f"unknown arithmetic operator {self.op!r}")
         left, right = self.children
         a = b.value(b.emit(left, env))
-        return f"{b.const(self._apply)}({a}, {b.emit(right, env)})"
-
-    def _apply(self, a, b):
-        op = self.op
-        if not a or not b:
-            return []
-        if len(a) > 1 or len(b) > 1:
-            raise TypeError_(f"arithmetic '{op}' requires singleton operands")
-        x, y = a[0], b[0]
-        if not is_number(x) or not is_number(y):
-            raise TypeError_(f"arithmetic '{op}' on {kind(x)} and {kind(y)}")
-        return [_ARITHMETIC[op](x, y)]
+        return f"{b.const(_arithmetic)}({b.const(self.op)}, {a}, {b.emit(right, env)})"
 
     def _tree_label(self) -> str:
         return self.op

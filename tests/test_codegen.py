@@ -143,6 +143,19 @@ def test_tree_pickles_without_its_functions(local_eng):
     assert copy.materialize(ctx) == [{"v": 1}, {"v": 2}]
 
 
+def test_generated_function_pickles_as_its_source(local_eng):
+    """A generated function pickles as its source and constants, without
+    the tree it came from, and gives the same result after the trip."""
+    it = local_eng.compile('[40, 41, 42][[2]] + 1 eq 42')
+    fn = it.evaluator()
+    ctx = DynamicContext(config=local_eng.config)
+    data = pickle.dumps(fn)
+    assert b"Iterator" not in data  # no node of the tree
+    copy = pickle.loads(data)
+    assert (copy.source, copy.consts) == (fn.source, fn.consts)
+    assert copy(ctx) == fn(ctx) == [True]
+
+
 def _subclasses(cls):
     for sub in cls.__subclasses__():
         yield sub

@@ -19,7 +19,8 @@ from repro.jsoniq.errors import TypeError_
 
 #: A FLWOR that runs on Spark and returns no item.
 EMPTY_FLWOR = "for $o in parallelize((1, 2)) where $o gt 5 return $o"
-#: A 300-term ``1 + 1 + ...``: a tree too deep for Spark to pickle.
+#: A 300-term ``1 + 1 + ...``: a tree too deep for Spark to pickle, so
+#: no closure may ship it.
 CHAIN = " + ".join(["1"] * 300)
 
 
@@ -461,3 +462,103 @@ class TestPlanBuilding:
         q = ('for $o in parallelize(({"g": 1, "h": 2}, {"g": 2, "h": 2}, {"g": 1, "h": 3}, '
              '{"g": 1})) ' + tail)
         assert sorted(map(json.dumps, rumble.run(q))) == sorted(map(json.dumps, local_engine.run(q)))
+
+
+def _shipped(monkeypatch) -> list:
+    """Collects each command PySpark pickles for a task from now on."""
+    from pyspark.serializers import CloudPickleSerializer
+
+    commands = []
+    dumps = CloudPickleSerializer.dumps
+    monkeypatch.setattr(CloudPickleSerializer, "dumps",
+                        lambda self, obj: commands.append(obj) or dumps(self, obj))
+    return commands
+
+
+def _met(obj) -> list:
+    """The type of every iterator, clause and generated function
+    ``cloudpickle`` meets while it pickles ``obj``."""
+    import io
+
+    from pyspark import cloudpickle
+
+    from repro.core.codegen import Generated
+    from repro.core.flwor.clauses import ClauseIterator
+    from repro.core.iterators.base import RuntimeIterator
+
+    class Recorder(cloudpickle.Pickler):
+        def reducer_override(self, o):
+            if isinstance(o, (RuntimeIterator, ClauseIterator, Generated)):
+                met.append(type(o))
+            return super().reducer_override(o)
+
+    met = []
+    Recorder(io.BytesIO()).dump(obj)
+    return met
+
+
+def _chain(n: int, term: str) -> str:
+    """``term + term + ...`` over ``n`` terms."""
+    return " + ".join([term] * n)
+
+
+class TestShippedFunctions:
+    """A Spark closure ships the generated function built on the driver,
+    as its source and constants, not the iterator tree it came from."""
+
+    @pytest.mark.parametrize("n", [200, 300])
+    @pytest.mark.parametrize("shape", [
+        "for $x in parallelize((1, 2)) return CHAIN",
+        "parallelize((1, 2))[CHAIN gt 0]",
+        "for $x in parallelize((1, 2, 3)) where CHAIN gt 0 group by $k := $x mod 2 "
+        "return [$k, count($x)]",
+        "for $x in parallelize((1, 2, 3)) let $y := CHAIN order by $y descending return $y",
+    ], ids=["return-pass", "predicate", "where-group-by", "let-order-by"])
+    def test_long_chain_runs_on_spark(self, rumble, local_engine, monkeypatch, shape, n):
+        """A chain too deep to pickle as a tree runs on Spark, as it
+        does locally: its closures ship generated functions and no
+        node."""
+        from repro.core.codegen import Generated
+
+        q = shape.replace("CHAIN", _chain(n, "$$" if shape.startswith("parallelize") else "$x"))
+        assert rumble.compile(q).supports_rdd(rumble._ctx())
+        commands = _shipped(monkeypatch)
+        got, local = rumble.run(q), local_engine.run(q)
+        if "group by" in q:
+            got, local = sorted(got), sorted(local)
+        assert got == local and got
+        assert set(t for c in commands for t in _met(c)) == {Generated}
+
+    @pytest.mark.parametrize("workload,passes", [("reddit-project", 1), ("readme-small", 2)])
+    def test_benchmark_closures_ship_no_tree(self, rumble, reddit_path, confusion_path,
+                                             monkeypatch, workload, passes):
+        """Neither benchmark query has a node constant, so no closure
+        PySpark pickles for it meets an iterator or a clause: the return
+        pass of one, the segment and return passes of the other."""
+        from repro.core.codegen import Generated
+
+        if workload == "reddit-project":
+            q = (f'for $c in json-file("{reddit_path}") let $s := number($c.score) '
+                 'where $c.year ge 2014 return {"author": $c.author, '
+                 '"sub": $c.subreddit, "score": $s, "edited": $c.edited}')
+        else:
+            q = (f'for $i in json-file("{confusion_path}") where $i.guess eq $i.target '
+                 'group by $t := $i.target order by count($i) descending '
+                 'return {"target": $t, "n": count($i)}')
+        commands = _shipped(monkeypatch)
+        assert rumble.run(q)
+        assert [t for c in commands for t in _met(c)] == [Generated] * passes
+
+    def test_node_constant_ships_without_its_functions(self, spark, local_engine,
+                                                       monkeypatch):
+        """A node in a shipped function's constant table ships its
+        subtree, but not the functions built for it earlier on the
+        driver."""
+        from repro.core.codegen import Generated
+        from repro.core.dynamic_context import DynamicContext
+
+        it = local_engine.compile("for $x in parallelize((1, 2)) return [1 to $x]")
+        assert it.materialize(local_engine._ctx()) == [[1], [1, 2]]  # builds [1 to $x]'s evaluator
+        commands = _shipped(monkeypatch)
+        assert it.get_rdd(DynamicContext()).collect() == [[1], [1, 2]]
+        assert [t for c in commands for t in _met(c)].count(Generated) == 1
