@@ -18,7 +18,7 @@ from __future__ import annotations
 from pyspark.sql import SparkSession
 
 
-from ..jsoniq import check, parse
+from ..jsoniq import check, check_depth, parse
 from .dynamic_context import DynamicContext, RumbleConfig
 from .items import Item, Sequence
 from .iterators.base import RuntimeIterator
@@ -36,9 +36,10 @@ class Rumble:
 
     # ------------------------------------------------------------------
     def compile(self, query: str) -> RuntimeIterator:
-        """Parse, scope-check and translate ``query`` to its root
-        runtime iterator (§5.1's four layers, minus execution)."""
+        """Parse, check and translate ``query`` to its root runtime
+        iterator (§5.1's four layers, minus execution)."""
         tree = parse(query)
+        check_depth(tree)
         check(tree)
         return translate(tree, optimize=self.config.enable_optimizations)
 

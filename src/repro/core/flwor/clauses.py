@@ -118,13 +118,10 @@ class ForClauseIterator(RowLocalClause):
     # -- start of the FLWOR pipeline ------------------------------------
     def starts_rdd(self, outer_ctx: DynamicContext) -> bool:
         """Whether this (first) clause can create the initial DataFrame
-        from an RDD (§4.4 / §5.8). Positional variables stay local, as
-        in the paper (the count clause covers that use case)."""
-        return (
-            self.position_var is None
-            and not self.allowing_empty
-            and self.expr.supports_rdd(outer_ctx)
-        )
+        from an RDD (§4.4 / §5.8). A first clause has no positional
+        variable: the translator writes ``for $x at $p in e`` as ``for
+        $x in e count $p``. With ``allowing empty`` it stays local."""
+        return not self.allowing_empty and self.expr.supports_rdd(outer_ctx)
 
     def start_df(self, outer_ctx: DynamicContext) -> TupleFrame:
         """Create the single-column DataFrame from the expression's RDD,
@@ -411,10 +408,9 @@ class OrderByClauseIterator(ClauseIterator):
 
 
 class CountClauseIterator(ClauseIterator):
-    """``count $v`` — 1-based tuple position (§4.9): zipWithIndex, the
-    partition-offset technique (Spark's zipWithIndex computes partition
-    sizes and cumulative offsets — the Glotov StackOverflow solution
-    cited by the paper does exactly this on DataFrames)."""
+    """``count $v`` — 1-based tuple position (§4.9), by the
+    partition-offset technique the paper cites (Glotov): count each
+    partition's rows once, then add the partition's offset."""
 
     def __init__(self, var: str):
         self.var = var
@@ -425,10 +421,16 @@ class CountClauseIterator(ClauseIterator):
             yield tup
 
     def stream_df(self, tframe, key_cols):
+        # One job checkpoints the frame with each row's
+        # monotonically_increasing_id (the partition from bit 33 up, the
+        # row below); a small job counts each partition's rows over it.
+        cols = list(tframe.columns.values())
+        df = checkpoint(tframe.df.selectExpr(*cols, "monotonically_increasing_id() AS id"))
+        sizes = dict(df.selectExpr("shiftright(id, 33) AS pid").groupBy("pid").count().collect())
+        offsets = list(itertools.accumulate(
+            (sizes.get(pid, 0) for pid in range(max(sizes, default=0))), initial=0))
         new = tframe.fresh_col(self.var)
-        df = tframe.df.select(*tframe.columns.values())
-        schema = StructType(list(df.schema.fields) + [StructField(new, StringType(), False)])
-        rows = df.rdd.zipWithIndex().mapPartitions(worker_task(
-            lambda pairs: (tuple(row) + (dumps_seq([i + 1]),) for row, i in pairs)))
-        df = active_spark().createDataFrame(rows, schema=schema, verifySchema=False)
+        position = (f"array({', '.join(f'{n}L' for n in offsets)})[shiftright(id, 33)] "
+                    f"+ (id & {(1 << 33) - 1}) + 1")
+        df = df.selectExpr(*cols, f"concat('[', CAST({position} AS STRING), ']') AS {new}")
         return TupleFrame(df, {**tframe.columns, self.var: new}, tframe._fresh)

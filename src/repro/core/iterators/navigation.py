@@ -17,6 +17,7 @@ from ...jsoniq.errors import TypeError_
 from ..codegen import FOCUS, Emitter
 from ..dynamic_context import DynamicContext
 from ..items import effective_boolean_value, is_number, to_integer
+from ..query_scope import persist
 from .base import RuntimeIterator, worker_task
 from .basic import LiteralIterator, literal_value
 from .functions import FunctionCallIterator, returns_boolean
@@ -159,13 +160,16 @@ class PredicateIterator(NavigationStep):
     result is taken as an effective boolean value. ``$$`` is a local of
     the loop, which runs over ``(position, item)`` pairs: on the RDD
     path a partition's items numbered from 1 when the predicate can only
-    give a boolean, otherwise its ``zipWithIndex`` pairs, which carry
-    each item's position in the whole sequence.
+    give a boolean, otherwise its ``zipWithIndex`` pairs over the
+    persisted target, which carry each item's position in the whole
+    sequence.
     """
 
     def _over(self, items, rdd=None):
         if rdd is not None and not _is_boolean(self.arg):
-            return "((i + 1, x) for x, i in items)", rdd.zipWithIndex()
+            # zipWithIndex sizes the partitions in a job of its own; both
+            # it and the numbering read one evaluation of the target.
+            return "((i + 1, x) for x, i in items)", persist(rdd).zipWithIndex()
         return f"enumerate({items}, 1)", rdd
 
     def _loop(self, b, env, arg, pairs, sink):

@@ -1,13 +1,15 @@
 """Spark materializations owned by the query that made them.
 
-The DataFrame ``order by`` (§4.8) evaluates its keyed frame once, with
-an eager local checkpoint, so that its type-discovery pass and its sort
-share one evaluation of every upstream clause UDF. The checkpoint's
-blocks stay on the executors until they are released.
+The DataFrame ``order by`` (§4.8) and ``count`` (§4.9) evaluate their
+frame once, with an eager local checkpoint, so that the jobs that read
+it share one evaluation of every upstream clause UDF. A positional
+predicate persists its target RDD, so that ``zipWithIndex``'s sizing
+job and its numbering read one evaluation. The blocks stay on the
+executors until they are released.
 ``Rumble.run`` opens a scope per query on the calling thread and
-releases every checkpoint made in it when the query ends, whether it
-returned or raised. A checkpoint made outside any scope lives until the
-JVM garbage-collects its plan and Spark's ContextCleaner drops it.
+releases every materialization made in it when the query ends, whether
+it returned or raised. One made outside any scope lives until the JVM
+garbage-collects its RDD and Spark's ContextCleaner drops it.
 """
 from __future__ import annotations
 
@@ -15,7 +17,9 @@ import contextlib
 import threading
 from contextvars import ContextVar
 
-#: JVM RDDs checkpointed by the query running on this thread.
+from pyspark import StorageLevel
+
+#: JVM RDDs materialized by the query running on this thread.
 _handles: ContextVar[list | None] = ContextVar("query_scope", default=None)
 
 #: Spark marks a checkpoint's RDD persisted before its job runs and
@@ -26,7 +30,7 @@ _lock = threading.Lock()
 
 @contextlib.contextmanager
 def query_scope(keep: bool = False):
-    """Scope the checkpoints made on this thread to one query. They are
+    """Scope the materializations made on this thread to one query. They are
     released when the block exits; with ``keep``, only if it raises, so
     that a returned lazy RDD can still read them."""
     handles: list = []
@@ -40,6 +44,20 @@ def query_scope(keep: bool = False):
         if not (keep and ok):
             for rdd in handles:
                 rdd.unpersist(False)
+
+
+def _own(jrdd) -> None:
+    handles = _handles.get()
+    if handles is not None:
+        handles.append(jrdd)
+
+
+def persist(rdd):
+    """``rdd``, kept in memory and on disk by the first job that
+    evaluates it, for the jobs after it to read."""
+    rdd.persist(StorageLevel.MEMORY_AND_DISK)
+    _own(rdd._jrdd)
+    return rdd
 
 
 def checkpoint(df):
@@ -57,7 +75,5 @@ def checkpoint(df):
                 if rid not in before and not rdd.rdd().isCheckpointed():
                     rdd.unpersist(False)
             raise
-    handles = _handles.get()
-    if handles is not None:
-        handles.append(out._jdf.queryExecution().logical().rdd())
+    _own(out._jdf.queryExecution().logical().rdd())
     return out

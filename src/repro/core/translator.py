@@ -145,7 +145,13 @@ def translate(expr: ast.Expr, *, optimize: bool = True) -> RuntimeIterator:
 
         clause_iters: list[ClauseIterator] = []
         for i, c in enumerate(flwor.clauses):
-            if isinstance(c, ast.ForClause):
+            if isinstance(c, ast.ForClause) and i == 0 and c.position_var and not c.allowing_empty:
+                # The first for's positions are the tuple positions a
+                # count clause numbers (§4.9). Not with allowing empty:
+                # an empty sequence binds position 0.
+                clause_iters += [ForClauseIterator(c.var, t(c.expr)),
+                                 CountClauseIterator(c.position_var)]
+            elif isinstance(c, ast.ForClause):
                 clause_iters.append(
                     ForClauseIterator(c.var, t(c.expr), c.allowing_empty, c.position_var)
                 )

@@ -15,5 +15,5 @@ from .errors import (  # noqa: F401
     StaticError,
     TypeError_,
 )
-from .parser import parse  # noqa: F401
+from .parser import check_depth, parse  # noqa: F401
 from .scoping import check  # noqa: F401

@@ -431,6 +431,13 @@ class _Parser:
 #: (1000) whatever limit the caller's process sets.
 MAX_NESTING = 100
 
+#: How deep a tree may be for the engine to run it. An operator chain
+#: parses in a loop, but ``1 + 1 + ...`` of n terms is a tree n nodes
+#: deep, and translating and running it recurses about two Python
+#: frames per node. This bound leaves the rest of the default recursion
+#: limit (1000) to the caller.
+MAX_CHAIN = 460
+
 
 def parse(query: str) -> ast.Expr:
     """Parse JSONiq ``query`` text into an AST. Raises :class:`ParseError`,
@@ -449,3 +456,17 @@ def parse(query: str) -> ast.Expr:
     except RecursionError:
         t = parser.peek()
         raise ParseError("expression nested too deeply", t.line, t.column) from None
+
+
+def check_depth(tree: ast.Expr) -> None:
+    """Raise :class:`ParseError` if a path from ``tree`` down holds more
+    than :data:`MAX_CHAIN` nodes, such as a chain of more than
+    :data:`MAX_CHAIN` operators or steps."""
+    deepest, stack = 0, [(tree, 1)]
+    while stack:
+        node, depth = stack.pop()
+        deepest = max(deepest, depth)
+        stack.extend((child, depth + 1) for child in node.children())
+    if deepest > MAX_CHAIN:
+        raise ParseError(f"expression nested too deeply (over {MAX_CHAIN} operators "
+                         "or steps on one path)")

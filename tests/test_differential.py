@@ -354,6 +354,39 @@ def test_deep_nesting_parity(spark, local_eng):
             engine.run("(" * 200 + "1" + ")" * 200)
 
 
+@pytest.mark.parametrize("engine", ["local", "spark"])
+def test_long_operator_chain_parity(engine, spark, local_eng):
+    """A 450-term chain runs; a 500-term one raises a ParseError, not
+    Python's RecursionError, on both engines."""
+    eng = local_eng if engine == "local" else Rumble(spark)
+    assert eng.run(" + ".join(["1"] * 450)) == [450]
+    with pytest.raises(ParseError, match="nested too deeply"):
+        eng.run(" + ".join(["1"] * 500))
+    with pytest.raises(ParseError, match="nested too deeply"):
+        eng.run("for $x in parallelize((1, 2)) return " + " + ".join(["$x"] * 500))
+
+
+@pytest.mark.parametrize("template", [
+    # A where after the count reads $c.
+    'count(for $i in json-file("{path}", 4) let $t := $i.subreddit count $c '
+    "where $c mod 100 eq 0 return $t)",
+    'for $i in json-file("{path}", 4) let $t := $i.subreddit count $c '
+    "where $c mod 100 eq 0 return [$c, $t]",
+    'for $i in json-file("{path}", 4) where $i.year ge 2014 count $c '
+    "order by $i.author, $c descending count $d where $d le 5 return [$c, $d]",
+    'for $i at $p in json-file("{path}", 4) where $p mod 250 eq 1 return [$p, $i.author]',
+    'for $i at $p in json-file("{path}", 4) group by $s := $i.subreddit order by $s '
+    "return [$s, count($p), sum($p)]",
+    'count(json-file("{path}", 4)[$$.score])',
+], ids=["count-where", "count-return", "count-order-count", "positional-for",
+        "positional-for-group-by", "positional-predicate"])
+def test_positions_parity(template, reddit_path, spark, local_eng):
+    """Tuple and item positions over a multi-partition input are the
+    same on both engines."""
+    q = template.format(path=reddit_path)
+    assert Rumble(spark).run(q) == local_eng.run(q)
+
+
 @pytest.mark.parametrize("query,expected", [
     ("for $x in {src} return " + "-" * 600 + "$x", [1, 2]),
     ("for $x in {src} return " + "-" * 601 + "$x", [-1, -2]),

@@ -58,11 +58,15 @@ class TestDataFrameRouting:
             rumble, "let $s := parallelize((1, 2)) return count($s)"
         )
 
-    def test_positional_for_var_stays_local(self, rumble):
-        # §4.4: positional variables are not supported on DataFrames.
-        q = "for $x at $p in parallelize((1, 2)) return $p"
+    def test_initial_positional_for_goes_df(self, rumble, local_engine):
+        # An initial `for $x at $p` runs as `for $x` + `count $p` (§4.9).
+        q = "for $x at $p in parallelize((5, 6, 7), 2) return [$x, $p]"
+        assert df_backed(rumble, q)
+        assert rumble.run(q) == local_engine.run(q) == [[5, 1], [6, 2], [7, 3]]
+        # With `allowing empty` the positional for stays local.
+        q = "for $x allowing empty at $p in parallelize((5, 6), 2) return [$x, $p]"
         assert not df_backed(rumble, q)
-        assert rumble.run(q) == [1, 2]
+        assert rumble.run(q) == local_engine.run(q) == [[5, 1], [6, 2]]
 
     def test_non_initial_positional_for_goes_df(self, rumble):
         # A later positional `for` counts within one tuple's bindings,
@@ -458,13 +462,37 @@ class TestReturnPassTail:
         assert rumble.run(query) == [expected]
 
 
+def positional_queries(n: int) -> list[tuple[str, type | None]]:
+    """Queries that number their tuples or items on Spark (a count
+    clause, an initial positional `for`, a positional predicate), each
+    with the error it raises: None when it returns, ``TypeError_`` for
+    one raised on the driver after the numbering, ``Exception`` for one
+    raised inside a Spark job, which reaches the caller wrapped."""
+    from repro.jsoniq.errors import TypeError_
+
+    failing = 'for $y in parallelize((1, {"a": 1}), 2) return $y + 1'
+    return [
+        (f"for $x in parallelize((3, 1, {n}), 2) count $c where $c ge 2 return [$x, $c]", None),
+        ('for $x in parallelize((1, "a"), 2) count $c order by $x return $c', TypeError_),
+        ('for $x in parallelize((1, {"a": 1}), 2) where $x + 1 gt 0 count $c return $c',
+         Exception),
+        (f"for $x at $p in parallelize((3, 1, {n}), 2) return [$x, $p]", None),
+        ('for $x at $p in parallelize((1, "a"), 2) order by $x return $p', TypeError_),
+        (f"for $x at $p in ({failing}) return $p", Exception),
+        (f"parallelize((3, 1, {n}, 2), 2)[$$ - 1]", None),
+        ('parallelize((1, 2), 2)[$$ + "a"]', Exception),
+        (f"({failing})[$$]", Exception),
+    ]
+
+
 class TestOrderByMaterialization:
     """The order-by materializes its keyed frame once per query (§4.8)
     and the query releases it. The checkpoint keeps the partition count
     adaptive execution picks; one partition is sorted in place, more
-    are range-sorted."""
+    are range-sorted. A count clause (§4.9) and a positional predicate
+    materialize what they number, and the query releases that too."""
 
-    def test_queries_release_their_materializations(self, spark, rumble):
+    def test_queries_release_their_materializations(self, spark, rumble, local_engine):
         from repro.jsoniq.errors import TypeError_
 
         persisted = spark.sparkContext._jsc.getPersistentRDDs
@@ -479,6 +507,13 @@ class TestOrderByMaterialization:
                 'for $x in parallelize((1, {"a": 1})) where $x + 1 gt 0 '
                 "order by $x return $x"
             )
+        for n in (0, 4):
+            for q, error in positional_queries(n):
+                if error is None:
+                    assert rumble.run(q) == local_engine.run(q)
+                else:
+                    with pytest.raises(error):
+                        rumble.run(q)
         assert len(persisted()) == before
 
     def test_concurrent_queries_keep_their_own_materializations(self, spark):
@@ -504,6 +539,12 @@ class TestOrderByMaterialization:
                         'for $x in parallelize((1, {"a": 1})) where $x + 1 gt 0 '
                         "order by $x return $x"
                     )
+                for q, error in positional_queries(i):
+                    if error is None:
+                        results[i, q] = eng.run(q)
+                    else:
+                        with pytest.raises(error):
+                            eng.run(q)
             except BaseException as e:  # surfaced below
                 errors.append(e)
 
@@ -519,14 +560,26 @@ class TestOrderByMaterialization:
             sys.setswitchinterval(switch)
         assert not any(t.is_alive() for t in threads)
         assert errors == []
+        local = Rumble(None, RumbleConfig(force_local=True))
         assert results == {
-            (i, j): sorted([3, 1, 10 * i + j]) for i in range(6) for j in range(2)
+            **{(i, j): sorted([3, 1, 10 * i + j]) for i in range(6) for j in range(2)},
+            **{(i, q): local.run(q) for i in range(6)
+               for q, error in positional_queries(i) if error is None},
         }
         assert len(persisted()) == before
 
     def test_run_rdd_reads_its_materialization(self, rumble):
         rdd = rumble.run_rdd("for $x in parallelize((3, 1, 2)) order by $x return $x")
         assert rdd.collect() == [1, 2, 3]
+
+    @pytest.mark.parametrize("query, expected", [
+        ("for $x in parallelize((3, 1, 2), 2) count $c return [$x, $c]",
+         [[3, 1], [1, 2], [2, 3]]),
+        ("parallelize((3, 1, 4, 5), 2)[$$ - 1]", [4, 5]),
+    ], ids=["count", "positional-predicate"])
+    def test_run_rdd_reads_its_numbering(self, rumble, query, expected):
+        rdd = rumble.run_rdd(query)
+        assert rdd.collect() == expected
 
     def test_readme_query_runs_fewer_tasks_than_shuffle_partitions(
         self, spark, rumble, confusion_path
@@ -611,3 +664,59 @@ class TestOrderByMaterialization:
             plan = df._jdf.queryExecution().executedPlan().toString()
         assert "Sort [" in plan
         return "rangepartitioning" in plan
+
+
+class TestOneEvaluationPerRow:
+    """Numbering a sequence reads what it numbers once: a count clause
+    and an initial positional `for` over the checkpoint of their frame
+    (§4.9), a positional predicate over its persisted target."""
+
+    ROWS = [{"i": i, "flag": i % 3 == 0} for i in range(40)]
+
+    @staticmethod
+    def counted(items, acc):
+        """A source whose RDD adds each row it yields to ``acc``."""
+        from repro.core.iterators.base import RuntimeIterator, active_spark
+
+        class Counted(RuntimeIterator):
+            is_source = True
+
+            def supports_rdd(self, ctx):
+                return True
+
+            def get_rdd(self, ctx):
+                def count(rows):
+                    for row in rows:
+                        acc.add(1)
+                        yield row
+
+                return active_spark().sparkContext.parallelize(items, 4).mapPartitions(count)
+
+        return Counted()
+
+    @pytest.mark.parametrize("query, expected", [
+        ("for $o in parallelize(()) count $c where $c mod 3 eq 0 return $c",
+         list(range(3, 41, 3))),
+        ("for $o at $p in parallelize(()) where $p mod 3 eq 0 return [$o.i, $p]",
+         [[p - 1, p] for p in range(3, 41, 3)]),
+        ("parallelize(())[$$.flag]", [o for o in ROWS if o["flag"]]),
+    ], ids=["count", "positional-for", "predicate"])
+    def test_source_evaluated_once(self, spark, rumble, query, expected):
+        from repro.core.query_scope import query_scope
+
+        persisted = spark.sparkContext._jsc.getPersistentRDDs
+        before = len(persisted())
+        acc = spark.sparkContext.accumulator(0)
+        it = rumble.compile(query)
+        source = self.counted(self.ROWS, acc)
+        if isinstance(it, FLWORIterator):
+            it.clauses[0].expr = source
+        else:
+            it.target = source
+        ctx = rumble._ctx()
+        rumble._activate()
+        with query_scope():
+            assert it.supports_rdd(ctx)
+            assert it.get_rdd(ctx).collect() == expected
+        assert acc.value == len(self.ROWS)
+        assert len(persisted()) == before

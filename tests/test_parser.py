@@ -286,3 +286,15 @@ class TestParseErrors:
         for d in (MAX_NESTING + 1, 200):
             with pytest.raises(ParseError, match="nested too deeply"):
                 parse("(" * d + "1" + ")" * d)
+
+    def test_long_chains(self):
+        from repro.jsoniq.parser import MAX_CHAIN, check_depth
+
+        check_depth(parse(" + ".join(["1"] * MAX_CHAIN)))
+        check_depth(parse("$x" + ".a" * (MAX_CHAIN - 1)))
+        for bad in [" + ".join(["1"] * (MAX_CHAIN + 1)), " or ".join(["true"] * 500),
+                    "$x" + ".a" * MAX_CHAIN,
+                    # chains nested in brackets add up
+                    "(" + " * ".join(["1"] * 300) + ") + " + " + ".join(["1"] * 300)]:
+            with pytest.raises(ParseError, match="nested too deeply"):
+                check_depth(parse(bad))

@@ -446,6 +446,11 @@ class TestPlanBuilding:
             f'for $i in json-file("{p}") group by $t := $i.target, $g := $i.guess '
             f'group by $t return count($g)',
             f'for $i in json-file("{p}", 2) group by $g := $i.guess return count($i)',
+            f'count(for $i in json-file("{p}", 4) let $t := $i.target count $c '
+            f'where $c mod 100 eq 0 return $t)',
+            f'for $i at $p in json-file("{p}", 4) where $p mod 500 eq 0 return [$p, $i.guess]',
+            f'for $i at $p in json-file("{p}", 4) group by $t := $i.target '
+            f'order by $t return [$t, sum($p)]',
         ]
         assert all(rumble.run(q) for q in queries)
         assert calls == []
