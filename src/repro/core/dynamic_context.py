@@ -6,7 +6,8 @@ plain objects so that Spark closures carrying runtime iterators + their
 opening contexts pickle cheaply (§5.6).
 
 :class:`RumbleConfig` carries the knobs the paper describes: the
-materialization cap with warning (§5.5).
+materialization cap with warning (§5.5), and the input size below
+which the engine's seamless switch picks local execution.
 """
 from __future__ import annotations
 
@@ -31,6 +32,13 @@ class RumbleConfig:
     #: model Zorba/Xidel, which materialize non-grouping variables and
     #: therefore run out of memory on the grouping query (Fig. 12).
     enable_optimizations: bool = True
+    #: A ``json-file()`` input of fewer bytes than this is read by the
+    #: local engine even when Spark is available, since Spark's fixed
+    #: cost per query (jobs, stages, Python tasks) outweighs its
+    #: parallelism there (§5.5's seamless switch; DESIGN.md §5b "Small
+    #: inputs run locally"). An input with an explicit partition count,
+    #: or not on the local file system, stays on Spark. 0 disables it.
+    local_below_bytes: int = 2 << 20
 
 
 @dataclass

@@ -15,8 +15,9 @@ Fig. 12 (see ``repro.baselines.local_single_thread``).
 """
 from __future__ import annotations
 
-from pyspark.sql import SparkSession
+from dataclasses import replace
 
+from pyspark.sql import SparkSession
 
 from ..jsoniq import check, check_depth, parse
 from .dynamic_context import DynamicContext, RumbleConfig
@@ -75,7 +76,9 @@ class Rumble:
     def run_rdd(self, query: str):
         """Execute ``query`` returning an RDD of items, or None when the
         root iterator only supports local execution. Parent tooling can
-        write this RDD straight back to storage in parallel (§5.4).
+        write this RDD straight back to storage in parallel (§5.4). The
+        caller asked for an RDD, so no input is too small for Spark
+        here (``local_below_bytes`` is 0).
 
         An ``order by`` in the query is materialized while this call
         builds the RDD, and the RDD reads that materialization. It stays
@@ -83,7 +86,7 @@ class Rumble:
         drops it after the JVM garbage-collects the RDD. If this call
         raises, it is released at once."""
         it = self.compile(query)
-        ctx = self._ctx()
+        ctx = DynamicContext(config=replace(self.config, local_below_bytes=0))
         self._activate()
         with query_scope(keep=True):
             if it.supports_rdd(ctx):

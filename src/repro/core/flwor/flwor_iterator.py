@@ -18,6 +18,8 @@ clauses exchange tuple streams. This iterator glues the two worlds:
   items that parent expressions consume without materialization.
 * **Local execution** — otherwise the same segments run locally
   (§5.5) through ``apply_local``; dict tuples cross the stream clauses.
+  A ``count`` right after the first ``for`` is that loop's position
+  there, so a FLWOR without another stream clause is one function.
 
 Every pass over rows (the segment passes, the return pass, the local
 clauses) is one generated function (``clauses.row_function``).
@@ -29,8 +31,8 @@ from typing import Callable, Iterator
 from ..dynamic_context import DynamicContext
 from ..items import Item
 from ..iterators.base import RuntimeIterator, worker_task
-from .clauses import (ClauseIterator, ForClauseIterator, RowLocalClause, named_rows,
-                      peek_names, row_function)
+from .clauses import (ClauseIterator, CountClauseIterator, ForClauseIterator, RowLocalClause,
+                      named_rows, peek_names, row_function)
 from .frame import TupleFrame
 
 
@@ -49,13 +51,14 @@ class FLWORIterator(RuntimeIterator):
         row-local tail after the last stream clause, to the return
         items. A row is an item of the initial ``for`` (``"items"``, no
         stream clause), a row of ``names``' cells (``"cells"``) or a
-        dict tuple of ``names`` (``"tuples"``)."""
+        dict tuple of ``names`` (``"tuples"``, the local path's
+        clauses)."""
         def build() -> Callable:
             if rows == "items":
                 head, tail = (lambda b: self.clauses[0].emit_loop(b, {}, "rows")), self.clauses[1:]
             else:
-                head = named_rows(names, cells=rows == "cells")
-                tail = self.clauses[self._stream_end():]
+                clauses = self._local_clauses() if rows == "tuples" else self.clauses
+                head, tail = named_rows(names, cells=rows == "cells"), clauses[stream_end(clauses):]
             return row_function(head, tail, lambda b, env: b.line(
                 f"yield from {b.emit(self.return_expr, env)}"))
 
@@ -68,33 +71,17 @@ class FLWORIterator(RuntimeIterator):
         first = self.clauses[0]
         return isinstance(first, ForClauseIterator) and first.starts_rdd(ctx)
 
-    def _stream_end(self) -> int:
-        """One past the last stream clause (not row-local); 0 when there is none."""
-        ends = [i + 1 for i, c in enumerate(self.clauses) if not isinstance(c, RowLocalClause)]
-        return ends[-1] if ends else 0
-
-    def _segments(self, start: int):
-        """Each stream clause from ``start`` on, with the row-local
-        clauses before it."""
-        before: list[ClauseIterator] = []
-        for clause in self.clauses[start:self._stream_end()]:
-            if isinstance(clause, RowLocalClause):
-                before.append(clause)
-            else:
-                yield clause, before
-                before = []
-
     def _build_tframe(self, ctx: DynamicContext) -> TupleFrame:
         """The tuple-stream DataFrame of the clauses up to the last stream
         clause. Each stream clause runs the row-local clauses before it
         in its own pass."""
         tframe = self.clauses[0].start_df(ctx)
-        for clause, before in self._segments(1):
+        for clause, before in segments(self.clauses[1:]):
             tframe = clause.apply_df(tframe, ctx, before)
         return tframe
 
     def get_rdd(self, ctx: DynamicContext):
-        return self._return_rdd(ctx, self._build_tframe(ctx) if self._stream_end() else None)
+        return self._return_rdd(ctx, self._build_tframe(ctx) if stream_end(self.clauses) else None)
 
     def _return_rdd(self, ctx: DynamicContext, tframe: TupleFrame | None):
         # Return clause (§4.10) with the row-local tail: one pass per
@@ -112,12 +99,47 @@ class FLWORIterator(RuntimeIterator):
     # ------------------------------------------------------------------
     # Local path
     # ------------------------------------------------------------------
+    def _local_clauses(self) -> list[ClauseIterator]:
+        """The clauses the local path runs. A ``count`` right after the
+        first ``for`` (as the translator writes an initial ``for $x at
+        $p``) numbers the tuples as that ``for``'s loop binds them: it
+        becomes the ``for``'s position variable, in the one generated
+        loop, and no dict tuple crosses it."""
+        def build() -> list[ClauseIterator]:
+            first, *rest = self.clauses
+            if (rest and isinstance(rest[0], CountClauseIterator)
+                    and isinstance(first, ForClauseIterator)
+                    and not first.allowing_empty and first.position_var is None):
+                return [ForClauseIterator(first.var, first.expr, position_var=rest[0].var),
+                        *rest[1:]]
+            return self.clauses
+
+        return self.built("local", build)
+
     def _iterate_local(self, ctx: DynamicContext) -> Iterator[Item]:
         tuples = [{}]  # dict tuples cross each stream clause
-        for clause, before in self._segments(0):
+        for clause, before in segments(self._local_clauses()):
             tuples = clause.apply_local(tuples, ctx, before)
         names, tuples = peek_names(tuples)
         yield from self._return_pass("tuples", names)(ctx, tuples)
 
     def _tree_label(self) -> str:
         return f"[{', '.join(type(c).__name__ for c in self.clauses)}]"
+
+
+def stream_end(clauses: list[ClauseIterator]) -> int:
+    """One past the last stream clause (not row-local); 0 when there is none."""
+    ends = [i + 1 for i, c in enumerate(clauses) if not isinstance(c, RowLocalClause)]
+    return ends[-1] if ends else 0
+
+
+def segments(clauses: list[ClauseIterator]):
+    """Each stream clause of ``clauses``, with the row-local clauses
+    before it."""
+    before: list[ClauseIterator] = []
+    for clause in clauses[:stream_end(clauses)]:
+        if isinstance(clause, RowLocalClause):
+            before.append(clause)
+        else:
+            yield clause, before
+            before = []

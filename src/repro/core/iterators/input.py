@@ -25,6 +25,10 @@ matches no file before any job runs.
 
 When Spark is unavailable (executor side) or disabled
 (``config.force_local``), the file is streamed line-by-line in-process.
+So is a small input (:func:`small_input`): fewer bytes than
+``config.local_below_bytes``, no explicit partition count, and every
+part a path on the local file system, which the local engine reads
+(DESIGN.md §5b "Small inputs run locally").
 
 ``parallelize(expr[, num_slices])`` materializes its argument locally
 and ships it to the cluster — the JSONiq wrapper over Spark's
@@ -131,6 +135,34 @@ def local_files(path: str) -> Iterator[str]:
                 yield m
 
 
+def _has_scheme(part: str) -> bool:
+    """Whether Hadoop reads ``part`` as a URI with a scheme
+    (``hdfs://...``, ``file:/...``): a colon before the first slash, as
+    ``new Path(String)`` parses it."""
+    colon, slash = part.find(":"), part.find("/")
+    return colon != -1 and (slash == -1 or colon < slash)
+
+
+def small_input(sc, path: str, limit: int) -> bool:
+    """Whether the files of ``path`` hold fewer than ``limit`` bytes and
+    all lie on the local file system: no part names a scheme, and
+    Hadoop's default file system is ``file:``. The bytes come from
+    ``os.stat`` over :func:`local_files`, not from a Hadoop listing. A
+    part that matches no local file makes it False, so that Spark
+    reports the input as missing."""
+    if any(_has_scheme(part) for part in split_outside_braces(path)):
+        return False
+    size = 0
+    try:
+        for name in local_files(path):
+            size += os.path.getsize(name)
+            if size >= limit:
+                return False
+    except (DynamicError, OSError):
+        return False
+    return sc._jsc.hadoopConfiguration().get("fs.defaultFS").startswith("file:")
+
+
 def input_size(sc, path: str) -> tuple[int, int]:
     """The bytes and files under the comma-separated ``path``, listed
     through Hadoop on the driver: one ``globStatus`` per part and one
@@ -187,7 +219,12 @@ class JsonFileIterator(RuntimeIterator):
         return partition_count(self.partitions_iter, ctx, "json-file() partitions")
 
     def supports_rdd(self, ctx: DynamicContext) -> bool:
-        return spark_enabled(ctx)
+        if not spark_enabled(ctx):
+            return False
+        limit = ctx.config.local_below_bytes
+        # json-file(p, n) asks for Spark's parallelism whatever the size.
+        return not (limit and self.partitions_iter is None
+                    and small_input(active_spark().sparkContext, self._path(ctx), limit))
 
     def _text_rdd(self, ctx: DynamicContext):
         spark = active_spark()

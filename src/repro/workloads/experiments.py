@@ -60,6 +60,8 @@ def _baseline_runners(mod, spark: SparkSession, path: str):
 
 
 SYSTEMS = ("rumble", "spark-native", "spark-sql", "pyspark-rdd")
+#: Runs per T1 cell; a cell reports their median.
+T1_REPEAT = 5
 
 
 def runners_for(system: str, spark: SparkSession, path: str):
@@ -90,7 +92,8 @@ def t1_local_engines(spark: SparkSession, workdir: str,
                      queries: tuple[str, ...] = ("filter", "group", "sort"),
                      systems: tuple[str, ...] = SYSTEMS) -> list[Measurement]:
     """T1 (Fig. 11): Rumble vs raw-Spark vs Spark SQL vs PySpark,
-    confusion dataset, three queries, sweep over object counts."""
+    confusion dataset, three queries, sweep over object counts. Each
+    cell is the median of :data:`T1_REPEAT` warm runs."""
     out = []
     warm_up(spark, workdir, systems)
     for n in sizes:
@@ -98,7 +101,7 @@ def t1_local_engines(spark: SparkSession, workdir: str,
         for system in systems:
             runners = runners_for(system, spark, path)
             for q in queries:
-                out.append(measure(system, q, n, runners[q]))
+                out.append(measure(system, q, n, runners[q], repeat=T1_REPEAT))
     return out
 
 

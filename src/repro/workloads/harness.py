@@ -1,10 +1,10 @@
 """End-to-end timing harness for the T1–T5 experiment tables.
 
 The paper measures end-to-end wall-clock runtimes (§6.2: "The runtimes
-are, like before, end-to-end"). :func:`measure` runs a thunk and
-returns a :class:`Measurement`; resource-cap failures of the
-single-threaded engines are reported as DNF rows, mirroring the capped
-bars of Fig. 12.
+are, like before, end-to-end"). :func:`measure` runs a thunk once or
+several times and returns a :class:`Measurement` of its median time;
+resource-cap failures of the single-threaded engines are reported as
+DNF rows, mirroring the capped bars of Fig. 12.
 
 For the speedup analysis (T4 / Fig. 14) the paper also reports the
 *aggregated* runtime over the cluster. We approximate aggregated
@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass, field
+from statistics import median
 
 from ..jsoniq.errors import ResourceCapExceeded
 
@@ -86,19 +87,25 @@ class Measurement:
 
 
 def measure(system: str, query: str, scale: int, thunk, *,
-            with_cpu: bool = False) -> Measurement:
-    """Run ``thunk`` end-to-end; resource-cap errors become DNF rows."""
-    cpu0 = process_tree_cpu_seconds() if with_cpu else None
-    t0 = time.perf_counter()
-    try:
-        result = thunk()
-    except ResourceCapExceeded as exc:
-        wall = time.perf_counter() - t0
-        return Measurement(system, query, scale, wall, None, True,
-                           type(exc).__name__)
-    wall = time.perf_counter() - t0
-    cpu = process_tree_cpu_seconds() - cpu0 if with_cpu else None
-    return Measurement(system, query, scale, wall, cpu, result=result)
+            with_cpu: bool = False, repeat: int = 1) -> Measurement:
+    """Run ``thunk`` end-to-end ``repeat`` times and report the median
+    wall (and CPU) time, so that a small cell is not one query's noise;
+    resource-cap errors become DNF rows at the first run that hits one."""
+    walls, cpus = [], []
+    for _ in range(repeat):
+        cpu0 = process_tree_cpu_seconds() if with_cpu else None
+        t0 = time.perf_counter()
+        try:
+            result = thunk()
+        except ResourceCapExceeded as exc:
+            wall = time.perf_counter() - t0
+            return Measurement(system, query, scale, wall, None, True,
+                               type(exc).__name__)
+        walls.append(time.perf_counter() - t0)
+        if with_cpu:
+            cpus.append(process_tree_cpu_seconds() - cpu0)
+    return Measurement(system, query, scale, median(walls), median(cpus) if cpus else None,
+                       result=result)
 
 
 def format_table(title: str, rows: list[Measurement],

@@ -11,6 +11,8 @@ from repro.core.dynamic_context import DynamicContext
 from repro.core.iterators.base import RuntimeIterator
 from repro.jsoniq.errors import TypeError_
 
+from .conftest import spark_engine
+
 SRC = '({"a": 1, "b": "x"}, {"a": 2, "b": "y"}, {"a": 3})'
 TRICKY = {'q"uote': 'a"b', "t'''": "'''", "back\\slash": "c:\\d", "new\nline": "x\ny",
           "{}": "{}"}
@@ -73,6 +75,10 @@ CASES = [
     ("for $o in SRC return " + _nested_predicates(25), [1, 2, 3]),
     ("for $o in SRC " + " ".join(f"for $x{i} in $o.a" for i in range(14))
      + " return " + _nested_predicates(12), [1, 2, 3]),
+    # An initial positional for, numbered in the local loop and by the
+    # count clause on Spark, with a count and a where after it.
+    ("for $o at $p in SRC count $c where $p ge 2 count $d return [$o.a, $p, $c, $d]",
+     [[2, 2, 2, 1], [3, 3, 3, 2]]),
     # A tail after a stream clause.
     ("for $o in SRC count $c let $d := $c * 10 where $d gt 10 "
      "for $m allowing empty in $o.b return [$d, $m]", [[20, "y"], [30]]),
@@ -87,7 +93,7 @@ def local_eng():
 @pytest.mark.parametrize("query, expected", CASES, ids=[q[:50] for q, _ in CASES])
 def test_local_equals_spark(query, expected, spark, local_eng):
     local = local_eng.run(query.replace("SRC", SRC))
-    on_spark = Rumble(spark).run(query.replace("SRC", f"parallelize({SRC})"))
+    on_spark = spark_engine(spark).run(query.replace("SRC", f"parallelize({SRC})"))
     assert local == on_spark == expected
 
 
@@ -105,7 +111,7 @@ def test_error_on_the_same_row(query, spark, local_eng):
     with pytest.raises(TypeError_, match="'r3' is a sequence of 2 items"):
         local_eng.run(query.replace("SRC", BAD_ROWS))
     with pytest.raises(Exception) as on_spark:
-        Rumble(spark).run(query.replace("SRC", f"parallelize({BAD_ROWS}, 1)"))
+        spark_engine(spark).run(query.replace("SRC", f"parallelize({BAD_ROWS}, 1)"))
     assert "TypeError_" in str(on_spark.value)
     assert "'r3' is a sequence of 2 items" in str(on_spark.value)
 

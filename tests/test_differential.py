@@ -9,6 +9,8 @@ import pytest
 from repro.core import Rumble, RumbleConfig
 from repro.jsoniq.errors import DynamicError, NonAtomicKeyError, ParseError, TypeError_
 
+from .conftest import spark_engine
+
 # Each case is a query template with {src} as the for-source. The local
 # run uses the inline sequence; the Spark run wraps it in parallelize().
 # ``v`` is scalar/null/missing (a valid grouping/ordering key);
@@ -168,7 +170,7 @@ GROUP_ORDER_QUERIES = [
                          ids=[q[:70] for q in GROUP_ORDER_QUERIES])
 def test_order_by_group_outputs(template, spark, local_eng):
     expected = local_eng.run(template.format(src=SRC, big=BIG))
-    got = Rumble(spark).run(template.format(src=f"parallelize({SRC})", big=f"parallelize({BIG})"))
+    got = spark_engine(spark).run(template.format(src=f"parallelize({SRC})", big=f"parallelize({BIG})"))
     assert got == expected
 
 
@@ -195,7 +197,7 @@ KEY_RESTORE_QUERIES = [
 def test_group_key_restore(template, spark, local_eng):
     q = template.format(src=SRC)
     # The JSON texts tell 1 from 1.0, which == does not.
-    assert json.dumps(Rumble(spark).run(q)) == json.dumps(local_eng.run(q))
+    assert json.dumps(spark_engine(spark).run(q)) == json.dumps(local_eng.run(q))
 
 
 def test_order_by_mixed_family_group_keys(spark, local_eng):
@@ -203,7 +205,7 @@ def test_order_by_mixed_family_group_keys(spark, local_eng):
     with pytest.raises(TypeError_):
         local_eng.run(template.format(src=SRC))
     with pytest.raises(TypeError_):
-        Rumble(spark).run(template.format(src=f"parallelize({SRC})"))
+        spark_engine(spark).run(template.format(src=f"parallelize({SRC})"))
 
 
 def canonical(items):
@@ -220,7 +222,7 @@ def test_local_vs_dataframe(template, spark, local_eng):
     q_local = template.format(src=SRC)
     q_spark = template.format(src=f"parallelize({SRC})")
     expected = local_eng.run(q_local)
-    got = Rumble(spark).run(q_spark)
+    got = spark_engine(spark).run(q_spark)
     if "order by" in template or "count $c" in template:
         # order-sensitive queries must match exactly
         assert got == expected
@@ -272,7 +274,7 @@ def test_json_file_decoder_edges(template, edge_path, spark, local_eng):
     NaN, -0.0 from 0.0 and one key order from another."""
     q = template.format(path=edge_path)
     expected = local_eng.run(q)
-    got = Rumble(spark).run(q)
+    got = spark_engine(spark).run(q)
     assert sorted(map(json.dumps, got)) == sorted(map(json.dumps, expected))
     objs = [item.get("o", item) for item in expected]
     assert sorted(map(json.dumps, objs)) == sorted(json.dumps(json.loads(line)) for line in EDGE_LINES)
@@ -341,14 +343,14 @@ def test_error_parity(template, error, spark, local_eng, edge_path):
         local_eng.run(q_local)
     assert type(e_local.value) is error
     with pytest.raises(Exception) as e_spark:
-        Rumble(spark).run(q_spark)
+        spark_engine(spark).run(q_spark)
     assert type(e_spark.value) is error or error.__name__ in str(e_spark.value)
 
 
 def test_deep_nesting_parity(spark, local_eng):
     """75 nested parentheses run; 200 raise a ParseError, not Python's
     RecursionError, on both engines."""
-    for engine in (local_eng, Rumble(spark)):
+    for engine in (local_eng, spark_engine(spark)):
         assert engine.run("(" * 75 + "1" + ")" * 75) == [1]
         with pytest.raises(ParseError):
             engine.run("(" * 200 + "1" + ")" * 200)
@@ -358,7 +360,7 @@ def test_deep_nesting_parity(spark, local_eng):
 def test_long_operator_chain_parity(engine, spark, local_eng):
     """A 450-term chain runs; a 500-term one raises a ParseError, not
     Python's RecursionError, on both engines."""
-    eng = local_eng if engine == "local" else Rumble(spark)
+    eng = local_eng if engine == "local" else spark_engine(spark)
     assert eng.run(" + ".join(["1"] * 450)) == [450]
     with pytest.raises(ParseError, match="nested too deeply"):
         eng.run(" + ".join(["1"] * 500))
@@ -384,7 +386,7 @@ def test_positions_parity(template, reddit_path, spark, local_eng):
     """Tuple and item positions over a multi-partition input are the
     same on both engines."""
     q = template.format(path=reddit_path)
-    assert Rumble(spark).run(q) == local_eng.run(q)
+    assert spark_engine(spark).run(q) == local_eng.run(q)
 
 
 @pytest.mark.parametrize("query,expected", [
@@ -396,7 +398,7 @@ def test_prefix_run_parity(query, expected, spark, local_eng):
     """A run of prefix operators parses into at most two nodes, so it
     compiles and runs at any length on both engines."""
     assert local_eng.run(query.format(src="(1, 2)")) == expected
-    assert Rumble(spark).run(query.format(src="parallelize((1, 2))")) == expected
+    assert spark_engine(spark).run(query.format(src="parallelize((1, 2))")) == expected
 
 
 @pytest.mark.parametrize("template", [
@@ -415,7 +417,7 @@ def test_missing_input_parity(template, tmp_path, edge_path, spark, local_eng):
     missing = str(tmp_path / "no-such-file*.json")
     q = template.format(present=edge_path, missing=missing)
     named = repr(missing) if "{missing}" in template else "''"
-    for engine in (local_eng, Rumble(spark)):
+    for engine in (local_eng, spark_engine(spark)):
         with pytest.raises(DynamicError) as e:
             engine.run(q)
         assert type(e.value) is DynamicError and named in str(e.value)
@@ -425,7 +427,7 @@ def test_lookup_key_is_checked_before_its_target(tmp_path, spark, local_eng):
     """A key that is not a string raises its TypeError_ before the
     missing input is read, on both engines."""
     q = f'json-file("{tmp_path / "no-such-file*.json"}").(1)'
-    for engine in (local_eng, Rumble(spark)):
+    for engine in (local_eng, spark_engine(spark)):
         with pytest.raises(TypeError_) as e:
             engine.run(q)
         assert type(e.value) is TypeError_
@@ -449,7 +451,7 @@ def test_atomic_key_identity_parity(template, src, expected, spark, local_eng):
     encoding on both engines: every NaN is one key, below -INF, and a
     number is never a boolean."""
     local = local_eng.run(template.format(src=src))
-    got = Rumble(spark).run(template.format(src=f"parallelize({src}, 2)"))
+    got = spark_engine(spark).run(template.format(src=f"parallelize({src}, 2)"))
     if "order by" in template:
         assert json.dumps(got) == json.dumps(local) == json.dumps(expected)
     else:
@@ -469,4 +471,4 @@ def test_json_file_path_forms(pattern, expected, tmp_path, spark, local_eng):
         (tmp_path / name).write_text(json.dumps({"v": v}) + "\n")
     q = f'for $o in json-file("{pattern.format(dir=tmp_path)}") order by $o.v return $o.v'
     assert local_eng.run(q) == expected
-    assert Rumble(spark).run(q) == expected
+    assert spark_engine(spark).run(q) == expected

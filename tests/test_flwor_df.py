@@ -12,6 +12,8 @@ import pytest
 from repro.core import Rumble, RumbleConfig
 from repro.core.flwor.flwor_iterator import FLWORIterator
 
+from .conftest import spark_engine
+
 
 def on_fresh_thread(call, seconds: float = 120):
     """``call()`` on a new thread, which has no active SparkSession,
@@ -526,7 +528,7 @@ class TestOrderByMaterialization:
         results, errors = {}, []
 
         def work(i):
-            eng = Rumble(spark)
+            eng = spark_engine(spark)
             try:
                 for j in range(2):
                     results[i, j] = eng.run(

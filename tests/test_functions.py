@@ -1,9 +1,10 @@
 """Builtin function library tests (local evaluation)."""
 import pytest
 
-from repro.core import Rumble
 from repro.core.iterators.functions import _REGISTRY
 from repro.jsoniq.errors import DynamicError, RumbleError, StaticError, TypeError_
+
+from .conftest import spark_engine
 
 AGGREGATES = [
     ("count(())", [0]),
@@ -267,7 +268,7 @@ def test_streamed_argument_is_listed_argument(local_engine, name):
 def test_other_arguments_evaluate_before_the_streamed_one(local_engine, spark, query):
     """A builtin evaluates its other arguments first, even a zero value
     that a non-empty sequence does not need."""
-    for engine in (local_engine, Rumble(spark)):
+    for engine in (local_engine, spark_engine(spark)):
         with pytest.raises(DynamicError):
             engine.run(query)
 
@@ -290,7 +291,7 @@ def test_nan_compares_equal_to_nothing(local_engine, spark):
     expected = [[False, True, False, False, False, True],
                 [True, False, True, False, True, False]]
     assert local_engine.run(NAN_COMPARE.format(src=src)) == expected
-    assert Rumble(spark).run(NAN_COMPARE.format(src=f"parallelize({src})")) == expected
+    assert spark_engine(spark).run(NAN_COMPARE.format(src=f"parallelize({src})")) == expected
 
 
 @pytest.mark.parametrize("fn", ["min", "max"])
@@ -302,6 +303,6 @@ def test_nan_wins_min_and_max(local_engine, spark, fn, seq):
     import math
 
     results = [local_engine.run(f"{fn}({seq})")]
-    results += [Rumble(spark).run(f"{fn}(parallelize({seq}, {n}))") for n in (1, 2, 3)]
+    results += [spark_engine(spark).run(f"{fn}(parallelize({seq}, {n}))") for n in (1, 2, 3)]
     for got in results:
         assert len(got) == 1 and math.isnan(got[0])

@@ -23,6 +23,29 @@ class TestMeasure:
         m = measure("sys", "q", 0, lambda: time.sleep(0.05))
         assert 0.04 < m.wall_s < 1.0
 
+    def test_repeat_reports_the_median(self):
+        waits = iter([0.3, 0.01, 0.05])
+        calls = []
+
+        def run():
+            calls.append(1)
+            time.sleep(next(waits))
+            return len(calls)
+
+        m = measure("sys", "q", 0, run, repeat=3, with_cpu=True)
+        assert len(calls) == 3 and m.result == 3
+        assert 0.04 < m.wall_s < 0.25 and m.cpu_s is not None
+
+    def test_repeat_stops_at_the_first_dnf(self):
+        calls = []
+
+        def run():
+            calls.append(1)
+            raise DeadlineExceeded("over budget")
+
+        m = measure("sys", "q", 0, run, repeat=3)
+        assert m.dnf and calls == [1]
+
     def test_dnf_on_resource_cap(self):
         def boom():
             raise DeadlineExceeded("over budget")

@@ -4,7 +4,10 @@ left behind that its module never reads. Both catch what a deletion
 leaves over. Every partition function the engine ships to Spark is
 built by ``worker_task``, so no Spark path pays PySpark's per-task
 archive re-read again. No Spark step is built through ``F.col`` or a
-``Column`` method, which PySpark wraps in a call-site capture."""
+``Column`` method, which PySpark wraps in a call-site capture. Every
+engine a test builds with Spark has the tests' Spark config
+(``conftest.spark_engine``), so no small test input is quietly read by
+the local engine."""
 import ast
 from pathlib import Path
 
@@ -19,6 +22,7 @@ SPARK_MAPS = {"mapPartitions", "mapInArrow", "map", "flatMap"}
 #: ``Column`` methods, each wrapped by PySpark in a call-site capture.
 COLUMN_METHODS = {"alias", "cast", "getField", "withField", "otherwise", "asc", "desc"}
 CORE = sorted((SRC / "core").rglob("*.py"))
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def _ids(path: Path) -> str:
@@ -89,3 +93,27 @@ def test_no_spark_step_is_built_from_column_methods(path):
         return node.func.attr == "col" if on_functions else node.func.attr in COLUMN_METHODS
 
     assert [node.lineno for node in ast.walk(ast.parse(path.read_text())) if wrapped(node)] == []
+
+
+def _forces_local(node) -> bool:
+    """Whether ``node`` is ``RumbleConfig(..., force_local=True, ...)``."""
+    return (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id == "RumbleConfig"
+            and any(k.arg == "force_local" and isinstance(k.value, ast.Constant)
+                    and k.value.value is True for k in node.keywords))
+
+
+@pytest.mark.parametrize("path", TESTS, ids=lambda p: p.name)
+def test_every_spark_test_engine_has_the_spark_config(path):
+    """A test builds an engine with Spark only through
+    ``conftest.spark_engine``: any other ``Rumble(...)`` call passes a
+    ``RumbleConfig`` with ``force_local=True``."""
+    tree = ast.parse(path.read_text())
+    helper = {id(node) for fn in tree.body
+              if isinstance(fn, ast.FunctionDef) and fn.name == "spark_engine"
+              and path.name == "conftest.py" for node in ast.walk(fn)}
+    other = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and id(node) not in helper
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "Rumble"
+             and not any(map(_forces_local, [*node.args, *(k.value for k in node.keywords)]))]
+    assert other == []

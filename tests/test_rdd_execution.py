@@ -17,6 +17,8 @@ from repro.core import Rumble, RumbleConfig
 from repro.core.iterators.base import quick_ack, worker_task
 from repro.jsoniq.errors import TypeError_
 
+from .conftest import spark_engine
+
 #: A FLWOR that runs on Spark and returns no item.
 EMPTY_FLWOR = "for $o in parallelize((1, 2)) where $o gt 5 return $o"
 #: A 300-term ``1 + 1 + ...``: a tree too deep for Spark to pickle, so
@@ -300,7 +302,7 @@ class TestAggregationActions:
         ],
     )
     def test_first_item_takes_one(self, spark, local_engine, query, expected):
-        eng = Rumble(spark, RumbleConfig(materialization_cap=5))
+        eng = spark_engine(spark, materialization_cap=5)
         with warnings.catch_warnings(record=True) as w:
             warnings.simplefilter("always")
             assert eng.run(query) == expected
@@ -317,7 +319,7 @@ class TestSeamlessSwitching:
         assert got == ["a-b-c"]
 
     def test_materialization_cap_warns_and_truncates(self, spark):
-        eng = Rumble(spark, RumbleConfig(materialization_cap=5))
+        eng = spark_engine(spark, materialization_cap=5)
         with warnings.catch_warnings(record=True) as w:
             warnings.simplefilter("always")
             got = eng.run("string-join(parallelize(1 to 100))")
